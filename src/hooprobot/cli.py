@@ -19,61 +19,78 @@ import math
 import sys
 from multiprocessing import Pool
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import __version__, certificate
 from .controller import Gains
-from .plant import PlantParams, actuator_equilibrium
+from .plant import HoopState, PlantParams, actuator_equilibrium
 from .reference import SCENARIOS
 from .regularizer import nominal_from_true
 from .sim import DivergenceError, SimConfig, Trajectory, integrate
-from .plant import HoopState
 
-# Section -> key -> default (as stored: radians, SI units).
+
+class Option(NamedTuple):
+    """One configuration key: where it lives, its default text, how it parses
+    (``kind``), and the CLI flag that overrides it (hidden when ``help`` is None)."""
+
+    section: str
+    key: str
+    default: str
+    kind: str
+    flag: str
+    help: Optional[str]
+
+
+# The config schema.  Kinds: float, angle (radians or a "deg" suffix), int,
+# flag (a store-true switch, text "true"/"false"), optional (a float or
+# "none"), scenario, and raw (text carried verbatim into the manifest).
+SCHEMA = (
+    Option("plant", "m_h", "1.0", "float", "--m-h", None),
+    Option("plant", "i_h", "0.021", "float", "--i-h", None),
+    Option("plant", "r", "0.18", "float", "--r", None),
+    Option("plant", "m_a", "3.28", "float", "--m-a", None),
+    Option("plant", "i_a", "0.035", "float", "--i-a", None),
+    Option("plant", "l", "0.14", "float", "--l", None),
+    Option("plant", "beta", "20deg", "angle", "--beta", "incline angle (radians, or e.g. 20deg)"),
+    Option("plant", "g", "9.81", "float", "--g", None),
+    Option("plant", "delta_s", "0.0", "float", "--delta-s", None),
+    Option("plant", "delta_a", "0.0", "float", "--delta-a", None),
+    Option("controller", "k_p", "16.0", "float", "--kp", "proportional gain"),
+    Option("controller", "k_d", "7.0", "float", "--kd", "derivative gain"),
+    Option("controller", "k_i", "4.0", "float", "--ki", "integral gain"),
+    Option("controller", "k_c", "0.1", "float", "--kc", None),
+    Option("controller", "mismatch", "1.5", "raw", "--mismatch",
+           "nominal-parameter scale factor for the controller"),
+    Option("reference", "scenario", "fixed_point", "scenario", "--scenario", "reference scenario"),
+    Option("reference", "o_ref0", "0.0", "float", "--o-ref0", "reference start position"),
+    Option("reference", "ramp_v", "0.2", "float", "--ramp-v", "ramp speed (m/s)"),
+    Option("reference", "sin_amplitude", "0.3", "float", "--sin-amplitude",
+           "sinusoid velocity amplitude"),
+    Option("reference", "sin_rate", "0.5", "float", "--sin-rate", "sinusoid angular rate"),
+    Option("simulation", "theta0", "0.0", "angle", "--theta0", "initial hoop angle"),
+    Option("simulation", "o0", "-2.0", "float", "--o0", "initial center position (m)"),
+    Option("simulation", "omega0", "-0.1", "float", "--omega0", "initial hoop angular velocity"),
+    Option("simulation", "theta_a0", "0.0", "angle", "--theta-a0", "initial actuator angle"),
+    Option("simulation", "omega_a0", "0.1", "float", "--omega-a0",
+           "initial actuator angular velocity"),
+    Option("simulation", "dt", "0.001", "float", "--dt", "RK4 step (s)"),
+    Option("simulation", "t_end", "60.0", "float", "--t-end", "simulated time (s)"),
+    Option("simulation", "stride", "10", "int", "--stride", "record every n-th step"),
+    Option("simulation", "feedforward", "false", "flag", "--feedforward",
+           "add reference-acceleration feedforward (off by default)"),
+    Option("simulation", "open_loop", "false", "flag", "--open-loop",
+           "disable the controller entirely (zero input torque)"),
+    Option("simulation", "hold_dt", "none", "optional", "--hold-dt",
+           "zero-order-hold period for the torque (default: continuous)"),
+    Option("simulation", "seed", "0", "raw", "--seed",
+           "recorded in the manifest; the simulation itself is deterministic"),
+)
+
+# Section -> key -> default text.
 DEFAULTS: dict[str, dict[str, str]] = {
-    "plant": {
-        "m_h": "1.0",
-        "i_h": "0.021",
-        "r": "0.18",
-        "m_a": "3.28",
-        "i_a": "0.035",
-        "l": "0.14",
-        "beta": "20deg",
-        "g": "9.81",
-        "delta_s": "0.0",
-        "delta_a": "0.0",
-    },
-    "controller": {
-        "k_p": "16.0",
-        "k_d": "7.0",
-        "k_i": "4.0",
-        "k_c": "0.1",
-        "mismatch": "1.5",
-    },
-    "reference": {
-        "scenario": "fixed_point",
-        "o_ref0": "0.0",
-        "ramp_v": "0.2",
-        "sin_amplitude": "0.3",
-        "sin_rate": "0.5",
-    },
-    "simulation": {
-        "theta0": "0.0",
-        "o0": "-2.0",
-        "omega0": "-0.1",
-        "theta_a0": "0.0",
-        "omega_a0": "0.1",
-        "dt": "0.001",
-        "t_end": "60.0",
-        "stride": "10",
-        "feedforward": "false",
-        "open_loop": "false",
-        "hold_dt": "none",
-        "seed": "0",
-    },
+    section: {opt.key: opt.default for opt in SCHEMA if opt.section == section}
+    for section in dict.fromkeys(opt.section for opt in SCHEMA)
 }
-
-_ANGLE_KEYS = {("plant", "beta"), ("simulation", "theta0"), ("simulation", "theta_a0")}
 
 SETTLING_BAND = 0.01  # |o_e| threshold for the settling-time summary metric
 
@@ -97,6 +114,36 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("false", "0", "no", "off"):
         return False
     raise ConfigError(f"expected a boolean, got {text!r}")
+
+
+def _parse_optional(text: str) -> Optional[float]:
+    lowered = text.strip().lower()
+    return None if lowered in ("none", "") else float(lowered)
+
+
+_PARSERS = {
+    "float": float, "angle": parse_angle, "int": int, "flag": _parse_bool,
+    "optional": _parse_optional, "scenario": str, "raw": str,
+}
+
+
+def _options(*sections: str) -> list[Option]:
+    return [opt for opt in SCHEMA if opt.section in sections]
+
+
+def _values(cfg: dict[str, dict[str, str]], section: str) -> dict[str, object]:
+    """The keys of one config section, parsed by kind."""
+    return {opt.key: _PARSERS[opt.kind](cfg[section][opt.key]) for opt in _options(section)}
+
+
+def _normalized(opt: Option, text: str) -> str:
+    """Manifest text of a value: angles in radians, floats via repr, raw text as is."""
+    value = _PARSERS[opt.kind](text)
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else repr(value)
 
 
 def load_config(path: Optional[str]) -> dict[str, dict[str, str]]:
@@ -126,56 +173,24 @@ def load_config(path: Optional[str]) -> dict[str, dict[str, str]]:
 
 
 def _apply_overrides(cfg: dict[str, dict[str, str]], args: argparse.Namespace) -> None:
-    mapping = {
-        "m_h": ("plant", "m_h"), "i_h": ("plant", "i_h"), "r": ("plant", "r"),
-        "m_a": ("plant", "m_a"), "i_a": ("plant", "i_a"), "l": ("plant", "l"),
-        "beta": ("plant", "beta"), "g": ("plant", "g"),
-        "delta_s": ("plant", "delta_s"), "delta_a": ("plant", "delta_a"),
-        "kp": ("controller", "k_p"), "kd": ("controller", "k_d"),
-        "ki": ("controller", "k_i"), "kc": ("controller", "k_c"),
-        "mismatch": ("controller", "mismatch"),
-        "scenario": ("reference", "scenario"), "o_ref0": ("reference", "o_ref0"),
-        "ramp_v": ("reference", "ramp_v"),
-        "sin_amplitude": ("reference", "sin_amplitude"),
-        "sin_rate": ("reference", "sin_rate"),
-        "theta0": ("simulation", "theta0"), "o0": ("simulation", "o0"),
-        "omega0": ("simulation", "omega0"), "theta_a0": ("simulation", "theta_a0"),
-        "omega_a0": ("simulation", "omega_a0"),
-        "dt": ("simulation", "dt"), "t_end": ("simulation", "t_end"),
-        "stride": ("simulation", "stride"), "hold_dt": ("simulation", "hold_dt"),
-        "seed": ("simulation", "seed"),
-    }
-    for attr, (section, key) in mapping.items():
-        value = getattr(args, attr, None)
+    for opt in SCHEMA:
+        value = getattr(args, f"{opt.section}.{opt.key}", None)
         if value is not None:
-            cfg[section][key] = str(value)
-    if getattr(args, "feedforward", False):
-        cfg["simulation"]["feedforward"] = "true"
-    if getattr(args, "open_loop", False):
-        cfg["simulation"]["open_loop"] = "true"
+            cfg[opt.section][opt.key] = value
 
 
 def build_plant(cfg: dict[str, dict[str, str]]) -> PlantParams:
-    section = cfg["plant"]
     try:
-        return PlantParams(
-            m_h=float(section["m_h"]), i_h=float(section["i_h"]),
-            r=float(section["r"]), m_a=float(section["m_a"]),
-            i_a=float(section["i_a"]), l=float(section["l"]),
-            beta=parse_angle(section["beta"]), g=float(section["g"]),
-            delta_s=float(section["delta_s"]), delta_a=float(section["delta_a"]),
-        )
+        return PlantParams(**_values(cfg, "plant"))
     except ValueError as exc:
         raise ConfigError(f"invalid plant parameters: {exc}") from exc
 
 
 def build_gains(cfg: dict[str, dict[str, str]]) -> Gains:
-    section = cfg["controller"]
     try:
-        return Gains(
-            k_p=float(section["k_p"]), k_d=float(section["k_d"]),
-            k_i=float(section["k_i"]), k_c=float(section["k_c"]),
-        )
+        values = _values(cfg, "controller")
+        del values["mismatch"]
+        return Gains(**values)
     except ValueError as exc:
         raise ConfigError(f"invalid gains: {exc}") from exc
 
@@ -185,31 +200,14 @@ def build_sim_config(cfg: dict[str, dict[str, str]]) -> SimConfig:
     gains = build_gains(cfg)
     try:
         nominal = nominal_from_true(plant, float(cfg["controller"]["mismatch"]))
-        sim_section = cfg["simulation"]
-        ref_section = cfg["reference"]
-        hold_raw = sim_section["hold_dt"].strip().lower()
-        hold_dt = None if hold_raw in ("none", "") else float(hold_raw)
-        initial = HoopState(
-            theta=parse_angle(sim_section["theta0"]),
-            o=float(sim_section["o0"]),
-            omega=float(sim_section["omega0"]),
-            theta_a=parse_angle(sim_section["theta_a0"]),
-            omega_a=float(sim_section["omega_a0"]),
-        )
+        sim = _values(cfg, "simulation")
+        del sim["seed"]  # kept so old manifests load; the simulation draws no random numbers
+        initial = HoopState(**{
+            name: sim.pop(name + "0") for name in ("theta", "o", "omega", "theta_a", "omega_a")
+        })
         return SimConfig(
-            plant=plant, nominal=nominal, gains=gains,
-            scenario=ref_section["scenario"],
-            o_ref0=float(ref_section["o_ref0"]),
-            ramp_v=float(ref_section["ramp_v"]),
-            sin_amplitude=float(ref_section["sin_amplitude"]),
-            sin_rate=float(ref_section["sin_rate"]),
-            initial=initial,
-            dt=float(sim_section["dt"]),
-            t_end=float(sim_section["t_end"]),
-            stride=int(sim_section["stride"]),
-            feedforward=_parse_bool(sim_section["feedforward"]),
-            hold_dt=hold_dt,
-            open_loop=_parse_bool(sim_section["open_loop"]),
+            plant=plant, nominal=nominal, gains=gains, initial=initial,
+            **_values(cfg, "reference"), **sim,
         )
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
@@ -237,8 +235,7 @@ def _summary(traj: Trajectory) -> dict[str, float]:
 
 
 def write_manifest(
-    path: Path, cfg: dict[str, dict[str, str]], sim_cfg: SimConfig,
-    summary: Optional[dict[str, float]] = None,
+    path: Path, cfg: dict[str, dict[str, str]], summary: Optional[dict[str, float]] = None,
 ) -> None:
     """Write the run manifest: a re-ingestable config plus summary metrics.
 
@@ -247,40 +244,10 @@ def write_manifest(
     """
     out = configparser.ConfigParser(interpolation=None)
     out.optionxform = str
-    p, initial = sim_cfg.plant, sim_cfg.initial
-    normalized: dict[str, dict[str, str]] = {
-        "plant": {
-            "m_h": repr(p.m_h), "i_h": repr(p.i_h), "r": repr(p.r),
-            "m_a": repr(p.m_a), "i_a": repr(p.i_a), "l": repr(p.l),
-            "beta": repr(p.beta), "g": repr(p.g),
-            "delta_s": repr(p.delta_s), "delta_a": repr(p.delta_a),
-        },
-        "controller": {
-            "k_p": repr(sim_cfg.gains.k_p), "k_d": repr(sim_cfg.gains.k_d),
-            "k_i": repr(sim_cfg.gains.k_i), "k_c": repr(sim_cfg.gains.k_c),
-            "mismatch": cfg["controller"]["mismatch"],
-        },
-        "reference": {
-            "scenario": sim_cfg.scenario,
-            "o_ref0": repr(sim_cfg.o_ref0),
-            "ramp_v": repr(sim_cfg.ramp_v),
-            "sin_amplitude": repr(sim_cfg.sin_amplitude),
-            "sin_rate": repr(sim_cfg.sin_rate),
-        },
-        "simulation": {
-            "theta0": repr(initial.theta), "o0": repr(initial.o),
-            "omega0": repr(initial.omega), "theta_a0": repr(initial.theta_a),
-            "omega_a0": repr(initial.omega_a),
-            "dt": repr(sim_cfg.dt), "t_end": repr(sim_cfg.t_end),
-            "stride": str(sim_cfg.stride),
-            "feedforward": "true" if sim_cfg.feedforward else "false",
-            "open_loop": "true" if sim_cfg.open_loop else "false",
-            "hold_dt": "none" if sim_cfg.hold_dt is None else repr(sim_cfg.hold_dt),
-            "seed": cfg["simulation"]["seed"],
-        },
-    }
-    for section, keys in normalized.items():
-        out[section] = keys
+    for section in DEFAULTS:
+        out[section] = {
+            opt.key: _normalized(opt, cfg[section][opt.key]) for opt in _options(section)
+        }
     out["meta"] = {"tool_version": __version__}
     if summary is not None:
         out["summary"] = {key: repr(value) for key, value in summary.items()}
@@ -323,11 +290,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         exc.trajectory.write_csv(out_dir / "trajectory.csv")
-        write_manifest(out_dir / "manifest.ini", cfg, sim_cfg)
+        write_manifest(out_dir / "manifest.ini", cfg)
         return 1
     summary = _summary(traj)
     traj.write_csv(out_dir / "trajectory.csv")
-    write_manifest(out_dir / "manifest.ini", cfg, sim_cfg, summary)
+    write_manifest(out_dir / "manifest.ini", cfg, summary)
     _write_figure_files(out_dir, traj, sim_cfg)
     print(
         f"scenario {sim_cfg.scenario}: {len(traj)} samples over {sim_cfg.t_end} s; "
@@ -460,16 +427,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_shared_param_flags(sub: argparse.ArgumentParser) -> None:
+def _add_config_flags(sub: argparse.ArgumentParser, *sections: str) -> None:
+    """``--config`` plus one flag per key of ``sections``; each overrides the file."""
     sub.add_argument("--config", help="configuration file (key = value with sections)")
-    for flag in ("m-h", "i-h", "r", "m-a", "i-a", "l", "g", "delta-s", "delta-a"):
-        sub.add_argument(f"--{flag}", dest=flag.replace("-", "_"), help=argparse.SUPPRESS)
-    sub.add_argument("--beta", help="incline angle (radians, or e.g. 20deg)")
-    sub.add_argument("--kp", help="proportional gain")
-    sub.add_argument("--kd", help="derivative gain")
-    sub.add_argument("--ki", help="integral gain")
-    sub.add_argument("--kc", help=argparse.SUPPRESS)
-    sub.add_argument("--mismatch", help="nominal-parameter scale factor for the controller")
+    for opt in _options(*sections):
+        if opt.kind == "flag":
+            kwargs: dict = {"action": "store_const", "const": "true"}
+        elif opt.kind == "scenario":
+            kwargs = {"choices": SCENARIOS}
+        else:
+            kwargs = {"metavar": opt.key.upper()}
+        sub.add_argument(
+            opt.flag, dest=f"{opt.section}.{opt.key}",
+            help=argparse.SUPPRESS if opt.help is None else opt.help, **kwargs,
+        )
 
 
 def _add_certificate_flags(sub: argparse.ArgumentParser) -> None:
@@ -493,43 +464,23 @@ def main(argv: Optional[list[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="run a closed-loop scenario, write CSV + manifest")
-    _add_shared_param_flags(p_sim)
-    p_sim.add_argument("--scenario", choices=SCENARIOS)
-    p_sim.add_argument("--o-ref0", dest="o_ref0", help="reference start position")
-    p_sim.add_argument("--ramp-v", dest="ramp_v", help="ramp speed (m/s)")
-    p_sim.add_argument("--sin-amplitude", dest="sin_amplitude", help="sinusoid velocity amplitude")
-    p_sim.add_argument("--sin-rate", dest="sin_rate", help="sinusoid angular rate")
-    p_sim.add_argument("--theta0")
-    p_sim.add_argument("--o0", help="initial center position (m)")
-    p_sim.add_argument("--omega0", help="initial hoop angular velocity")
-    p_sim.add_argument("--theta-a0", dest="theta_a0")
-    p_sim.add_argument("--omega-a0", dest="omega_a0", help="initial actuator angular velocity")
-    p_sim.add_argument("--dt")
-    p_sim.add_argument("--t-end", dest="t_end")
-    p_sim.add_argument("--stride")
-    p_sim.add_argument("--seed")
-    p_sim.add_argument("--feedforward", action="store_true",
-                       help="add reference-acceleration feedforward (off by default)")
-    p_sim.add_argument("--open-loop", dest="open_loop", action="store_true",
-                       help="disable the controller entirely (zero input torque)")
-    p_sim.add_argument("--hold-dt", dest="hold_dt",
-                       help="zero-order-hold period for the torque (default: continuous)")
+    _add_config_flags(p_sim, "plant", "controller", "reference", "simulation")
     p_sim.add_argument("--out", default=".", help="output directory")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_chk = sub.add_parser("check-gains", help="evaluate the stability gain conditions")
-    _add_shared_param_flags(p_chk)
+    _add_config_flags(p_chk, "plant", "controller")
     _add_certificate_flags(p_chk)
     p_chk.add_argument("--sweep", nargs=2, metavar=("PARAM", "START:STOP:STEP"),
                        help="tabulate margins while sweeping kp, kd or ki")
     p_chk.set_defaults(func=cmd_check_gains)
 
     p_eq = sub.add_parser("equilibrium", help="steady actuator angle and max incline")
-    _add_shared_param_flags(p_eq)
+    _add_config_flags(p_eq, "plant", "controller")
     p_eq.set_defaults(func=cmd_equilibrium)
 
     p_sw = sub.add_parser("sweep", help="seeded sweep of admissible gain triples")
-    _add_shared_param_flags(p_sw)
+    _add_config_flags(p_sw, "plant", "controller")
     _add_certificate_flags(p_sw)
     p_sw.add_argument("--count", type=int, default=100)
     p_sw.add_argument("--seed", type=int, default=1)

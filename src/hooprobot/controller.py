@@ -76,8 +76,7 @@ def integrator_rate(
     n: NominalParams, theta_a: float, omega_a: float, o_I: float, eta_e: float
 ) -> float:
     """Rate of the transported integrator state: eta_e - Gamma * omega_a * o_I."""
-    inertia = n.inertia(theta_a)
-    gamma = n.inertia_dip * math.sin(2.0 * theta_a) / (2.0 * inertia)
+    gamma = n.inertia_slope(theta_a) / (2.0 * n.inertia(theta_a))
     return eta_e - gamma * omega_a * o_I
 
 

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from scipy.optimize import brentq
-
 from .geometry import InertiaField, cos_squared_field
 
 # Denominator guard for the coupling gain; below this the input matrix is
@@ -31,6 +29,33 @@ _COUPLING_SINGULARITY_TOL = 1e-12
 
 class SingularCouplingError(ValueError):
     """Input coupling denominator vanished: torque cannot reach both channels."""
+
+
+def derive_mass_constants(params) -> None:
+    """Check the mass properties and gravity of a true or believed parameter
+    set, then fill in its derived fields (m_total, pendulum_inertia,
+    rolling_inertia, inertia_dip, coupling_amp)."""
+    for name in ("m_h", "i_h", "r", "m_a", "i_a", "l"):
+        value = getattr(params, name)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if not (math.isfinite(params.g) and params.g >= 0.0):
+        raise ValueError(f"g must be finite and non-negative, got {params.g!r}")
+    m_total = params.m_h + params.m_a
+    pend = params.i_a + params.m_a * params.l**2
+    rolling = params.i_h + m_total * params.r**2
+    amp = params.m_a * params.r * params.l
+    dip = amp**2 / pend
+    if not rolling > dip:
+        raise ValueError(
+            "reduced inertia not positive definite: "
+            f"i_h + M r^2 = {rolling!r} must exceed (m_a r l)^2/(i_a + m_a l^2) = {dip!r}"
+        )
+    object.__setattr__(params, "m_total", m_total)
+    object.__setattr__(params, "pendulum_inertia", pend)
+    object.__setattr__(params, "rolling_inertia", rolling)
+    object.__setattr__(params, "inertia_dip", dip)
+    object.__setattr__(params, "coupling_amp", amp)
 
 
 @dataclass(frozen=True)
@@ -54,7 +79,7 @@ class PlantParams:
     delta_s: float = 0.0
     delta_a: float = 0.0
 
-    # derived, filled in __post_init__
+    # derived, filled in by derive_mass_constants
     m_total: float = field(init=False, repr=False)
     pendulum_inertia: float = field(init=False, repr=False)
     rolling_inertia: float = field(init=False, repr=False)
@@ -62,37 +87,16 @@ class PlantParams:
     coupling_amp: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("m_h", "i_h", "r", "m_a", "i_a", "l"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        derive_mass_constants(self)
         if not self.l < self.r:
             raise ValueError(
                 f"actuator arm must fit inside the hoop: l={self.l!r} >= r={self.r!r}"
             )
         if not (-math.pi / 2 < self.beta < math.pi / 2):
             raise ValueError(f"incline angle must lie in (-pi/2, pi/2), got {self.beta!r}")
-        if not (math.isfinite(self.g) and self.g >= 0.0):
-            raise ValueError(f"g must be finite and non-negative, got {self.g!r}")
         for name in ("delta_s", "delta_a"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-
-        m_total = self.m_h + self.m_a
-        pend = self.i_a + self.m_a * self.l**2
-        rolling = self.i_h + m_total * self.r**2
-        amp = self.m_a * self.r * self.l
-        dip = amp**2 / pend
-        if not rolling > dip:
-            raise ValueError(
-                "reduced inertia not positive definite: "
-                f"i_h + M r^2 = {rolling!r} must exceed (m_a r l)^2/(i_a + m_a l^2) = {dip!r}"
-            )
-        object.__setattr__(self, "m_total", m_total)
-        object.__setattr__(self, "pendulum_inertia", pend)
-        object.__setattr__(self, "rolling_inertia", rolling)
-        object.__setattr__(self, "inertia_dip", dip)
-        object.__setattr__(self, "coupling_amp", amp)
 
     def inertia(self, theta_a: float) -> float:
         """Reduced inertia I(theta_a), shared by both acceleration equations."""
@@ -115,8 +119,9 @@ class HoopState:
     omega_a: float
 
 
-def inertia_field(p: PlantParams) -> InertiaField:
-    """Angle-dependent reduced inertia of ``p`` as a geometric field."""
+def inertia_field(p) -> InertiaField:
+    """Angle-dependent reduced inertia of a true or believed parameter set
+    as a geometric field."""
     return cos_squared_field(p.rolling_inertia, p.inertia_dip)
 
 
@@ -204,6 +209,8 @@ def actuator_equilibrium(p: PlantParams, grid: int = 4096) -> EquilibriumResult:
     hanging (theta_a = 0) is returned.  Existence requires
     sin(beta) <= m_a l / (M r); the bound is reported as ``beta_max``.
     """
+    from scipy.optimize import brentq  # imported here: no other command needs scipy
+
     ratio = p.m_a * p.l / (p.m_total * p.r)
     beta_max = math.asin(min(1.0, ratio))
 

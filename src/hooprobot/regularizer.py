@@ -28,8 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .geometry import InertiaField, cos_squared_field
-from .plant import PlantParams, SingularCouplingError
+from .plant import PlantParams, derive_mass_constants
 
 
 @dataclass(frozen=True)
@@ -57,31 +56,15 @@ class NominalParams:
     coupling_amp: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("m_h", "i_h", "r", "m_a", "i_a", "l"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not (math.isfinite(self.g) and self.g >= 0.0):
-            raise ValueError(f"g must be finite and non-negative, got {self.g!r}")
-        m_total = self.m_h + self.m_a
-        pend = self.i_a + self.m_a * self.l**2
-        rolling = self.i_h + m_total * self.r**2
-        amp = self.m_a * self.r * self.l
-        dip = amp**2 / pend
-        if not rolling > dip:
-            raise ValueError(
-                f"believed inertia not positive: i_h + M r^2 = {rolling!r} "
-                f"must exceed (m_a r l)^2/(i_a + m_a l^2) = {dip!r}"
-            )
-        object.__setattr__(self, "m_total", m_total)
-        object.__setattr__(self, "pendulum_inertia", pend)
-        object.__setattr__(self, "rolling_inertia", rolling)
-        object.__setattr__(self, "inertia_dip", dip)
-        object.__setattr__(self, "coupling_amp", amp)
+        derive_mass_constants(self)
 
     def inertia(self, theta_a: float) -> float:
         """Believed reduced inertia at actuator angle theta_a."""
         return self.rolling_inertia - self.inertia_dip * math.cos(theta_a) ** 2
+
+    def inertia_slope(self, theta_a: float) -> float:
+        """dI/dtheta_a of the believed inertia; the connection is Gamma = slope / (2 I)."""
+        return self.inertia_dip * math.sin(2.0 * theta_a)
 
 
 def nominal_from_true(p: PlantParams, factor: float = 1.5) -> NominalParams:
@@ -102,11 +85,6 @@ def nominal_from_true(p: PlantParams, factor: float = 1.5) -> NominalParams:
         l=factor * p.l,
         g=p.g,
     )
-
-
-def nominal_inertia_field(n: NominalParams) -> InertiaField:
-    """Believed inertia profile as a geometric field (for connection terms)."""
-    return cos_squared_field(n.rolling_inertia, n.inertia_dip)
 
 
 def shaping_torque(n: NominalParams, theta_a: float) -> float:
@@ -135,52 +113,6 @@ def regularize(
     the flat-ground potential shaping.  All coefficients come from the
     believed parameters.
     """
-    sin_a = math.sin(theta_a)
-    sin_2a = 2.0 * sin_a * math.cos(theta_a)
-    connection = (
-        n.coupling_amp**2 * sin_2a / (2.0 * n.pendulum_inertia)
-    ) * omega_a * omega_e
-    centrifugal = n.coupling_amp * sin_a * omega_a**2
+    connection = 0.5 * n.inertia_slope(theta_a) * omega_a * omega_e  # I * Gamma = slope / 2
+    centrifugal = n.coupling_amp * math.sin(theta_a) * omega_a**2
     return -connection + centrifugal + shaping_torque(n, theta_a) + tilde_tau_u
-
-
-def regularized_actuator_terms(
-    n: NominalParams,
-    theta_a: float,
-    omega_a: float,
-    omega_e: float,
-) -> tuple[float, float]:
-    """Actuator-channel bookkeeping after regularization, under believed params.
-
-    Returns the shaped actuator gravity torque (believed zero-incline gravity
-    torque plus the shaping torque routed through the coupling gain) and the
-    bilinear interconnection torque, which vanishes when the tracking-velocity
-    error is zero.  Used by equilibrium and boundedness analyses, not by the
-    control loop itself.
-    """
-    sin_a = math.sin(theta_a)
-    cos_a = math.cos(theta_a)
-    inertia = n.inertia(theta_a)
-    coupling = n.coupling_amp * cos_a
-    denom = n.pendulum_inertia - coupling
-    if abs(denom) < 1e-12:
-        raise SingularCouplingError(
-            f"believed input coupling singular at theta_a={theta_a!r}"
-        )
-    gain = coupling / n.pendulum_inertia - inertia / denom
-
-    shaping = shaping_torque(n, theta_a)
-    # believed gravity torques at zero incline
-    tau_spin_flat = -shaping  # -(m_a^2 r l^2 g / A) cos sin = -S
-    tau_act_flat = (
-        coupling / n.pendulum_inertia
-    ) * tau_spin_flat - inertia * n.m_a * n.g * n.l * sin_a / n.pendulum_inertia
-
-    shaped_gravity = tau_act_flat + gain * shaping
-    interconnection = (
-        -gain
-        * (n.coupling_amp**2 * 2.0 * sin_a * cos_a / (2.0 * n.pendulum_inertia))
-        * omega_a
-        * omega_e
-    )
-    return shaped_gravity, interconnection

@@ -252,18 +252,19 @@ def integrate(cfg: SimConfig) -> Trajectory:
     cs = ControllerState()
     dt = cfg.dt
     steps = int(round(cfg.t_end / dt))
-    hold_steps = None if cfg.hold_dt is None else max(1, int(round(cfg.hold_dt / dt)))
+    # an open loop has no torque to hold
+    hold = cfg.hold_dt is not None and not cfg.open_loop
+    hold_steps = max(1, int(round(cfg.hold_dt / dt))) if hold else None
 
-    def control(t: float, y: tuple) -> tuple[float, float]:
+    def control(t: float, s: HoopState, o_i: float) -> tuple[float, float]:
         """Torque and integrator rate at one (possibly stage) state."""
         if cfg.open_loop:
             return 0.0, 0.0
-        s = HoopState(theta=y[0], o=y[1], omega=y[2], theta_a=y[3], omega_a=y[4])
         ref = ref_fn(t)
-        cs.o_I = y[5]
+        cs.o_I = o_i
         tau_u, o_i_rate = ctl.step(n, g, s, ref, cs)
         if cfg.feedforward:
-            tau_ref = n.inertia(y[3]) * (-ref.o_ddot_ref / n.r)
+            tau_ref = n.inertia(s.theta_a) * (-ref.o_ddot_ref / n.r)
             tau_u += tau_ref
             cs.last_pid_torque += tau_ref
             cs.last_torque = tau_u
@@ -272,22 +273,21 @@ def integrate(cfg: SimConfig) -> Trajectory:
     held_tau: Optional[float] = None
 
     def rhs(t: float, y: tuple) -> tuple:
-        tau_u, o_i_rate = control(t, y)
-        if held_tau is not None:
-            tau_u = held_tau
         s = HoopState(theta=y[0], o=y[1], omega=y[2], theta_a=y[3], omega_a=y[4])
-        rates = plt.derivative(p, s, tau_u)
-        return rates + (o_i_rate,)
+        if held_tau is None:
+            tau_u, o_i_rate = control(t, s, y[5])
+        else:  # the torque is frozen; only the integrator keeps its dynamics
+            eta_e = ctl.error(s, ref_fn(t), n.r)[2]
+            tau_u, o_i_rate = held_tau, ctl.integrator_rate(n, y[3], y[4], y[5], eta_e)
+        return plt.derivative(p, s, tau_u) + (o_i_rate,)
 
     traj = Trajectory()
 
     def record(t: float, y: tuple) -> None:
+        """Append one sample.  The torques are the ones ``cs`` logged last: the
+        k1 evaluation at this (t, y), or the held torque in hold mode."""
         s = HoopState(theta=y[0], o=y[1], omega=y[2], theta_a=y[3], omega_a=y[4])
-        ref = ref_fn(t)
-        o_e, omega_e, _ = ctl.error(s, ref, n.r)
-        tau_u, _ = control(t, y)
-        if held_tau is not None:
-            tau_u = held_tau
+        o_e, omega_e, _ = ctl.error(s, ref_fn(t), n.r)
         ke, pe = energy(p, s)
         traj.t.append(t)
         traj.theta.append(y[0])
@@ -298,7 +298,7 @@ def integrate(cfg: SimConfig) -> Trajectory:
         traj.o_I.append(y[5])
         traj.o_e.append(o_e)
         traj.omega_e.append(omega_e)
-        traj.tau_u.append(tau_u)
+        traj.tau_u.append(cs.last_torque)
         traj.tilde_tau_u.append(cs.last_pid_torque)
         traj.energy.append(ke + pe)
 
@@ -311,12 +311,15 @@ def integrate(cfg: SimConfig) -> Trajectory:
     for i in range(steps + 1):
         t = i * dt
         if hold_steps is not None and i % hold_steps == 0:
-            held_tau = control(t, y)[0]
+            held_tau = control(t, HoopState(*y[:5]), y[5])[0]
+        if i < steps:
+            k1 = rhs(t, y)
+        elif i % cfg.stride == 0 and held_tau is None:
+            control(t, HoopState(*y[:5]), y[5])  # no k1 at the last sample
         if i % cfg.stride == 0:
             record(t, y)
         if i == steps:
             break
-        k1 = rhs(t, y)
         y2 = tuple(y[j] + half * k1[j] for j in range(6))
         k2 = rhs(t + half, y2)
         y3 = tuple(y[j] + half * k2[j] for j in range(6))

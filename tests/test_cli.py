@@ -1,11 +1,16 @@
 """Command-line interface: config handling, subcommands, exit codes, outputs."""
 import configparser
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hooprobot
 from hooprobot.cli import (
     DEFAULTS,
+    SCHEMA,
     ConfigError,
     build_gains,
     build_plant,
@@ -141,13 +146,13 @@ class TestSimulateCommand:
     def test_manifest_round_trip_is_bit_identical(self, tmp_path):
         first = tmp_path / "a"
         second = tmp_path / "b"
-        assert main(["simulate", "--t-end", "2", "--beta", "15deg",
-                     "--out", str(first)]) == 0
+        assert main(["simulate", "--t-end", "2", "--beta", "15deg", "--theta-a0", "5deg",
+                     "--hold-dt", "0.01", "--feedforward", "--mismatch", "1.20",
+                     "--seed", "7", "--out", str(first)]) == 0
         assert main(["simulate", "--config", str(first / "manifest.ini"),
                      "--out", str(second)]) == 0
-        assert (first / "trajectory.csv").read_bytes() == (
-            second / "trajectory.csv"
-        ).read_bytes()
+        for name in ("trajectory.csv", "manifest.ini"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_manifest_contains_summary_and_normalized_values(self, tmp_path):
         out = tmp_path / "run"
@@ -183,6 +188,51 @@ class TestSimulateCommand:
                      "--omega0", "1.0", "--out", str(out)]) == 0
         lines = (out / "trajectory.csv").read_text().splitlines()[1:]
         assert all(float(line.split(",")[9]) == 0.0 for line in lines)
+
+
+# A non-default value for every config key, with its text in the manifest.
+NON_DEFAULT = {
+    "m_h": ("1.25", "1.25"), "i_h": ("0.025", "0.025"), "r": ("0.2", "0.2"),
+    "m_a": ("3", "3.0"), "i_a": ("0.03", "0.03"), "l": ("0.15", "0.15"),
+    "beta": ("10deg", repr(math.radians(10.0))), "g": ("9.8", "9.8"),
+    "delta_s": ("0.01", "0.01"), "delta_a": ("-0.02", "-0.02"),
+    "k_p": ("20", "20.0"), "k_d": ("6", "6.0"), "k_i": ("3", "3.0"),
+    "k_c": ("0.2", "0.2"), "mismatch": ("1.20", "1.20"),
+    "scenario": ("ramp", "ramp"), "o_ref0": ("0.5", "0.5"), "ramp_v": ("0.1", "0.1"),
+    "sin_amplitude": ("0.2", "0.2"), "sin_rate": ("0.4", "0.4"),
+    "theta0": ("0.3", "0.3"), "o0": ("-1.5", "-1.5"), "omega0": ("0.2", "0.2"),
+    "theta_a0": ("5deg", repr(math.radians(5.0))), "omega_a0": ("-0.1", "-0.1"),
+    "dt": ("0.002", "0.002"), "t_end": ("0.1", "0.1"), "stride": ("3", "3"),
+    "feedforward": (None, "true"), "open_loop": (None, "true"),
+    "hold_dt": ("0.01", "0.01"), "seed": ("x7", "x7"),
+}
+
+
+class TestSchema:
+    @pytest.mark.parametrize("opt", SCHEMA, ids=lambda opt: f"{opt.section}.{opt.key}")
+    def test_flag_value_lands_normalized_in_manifest(self, opt, tmp_path):
+        given, written = NON_DEFAULT[opt.key]
+        assert written != DEFAULTS[opt.section][opt.key]
+        flag = [opt.flag] if given is None else [opt.flag, given]
+        out = tmp_path / "run"
+        assert main(["simulate", "--t-end", "0.05", *flag, "--out", str(out)]) == 0
+        manifest = configparser.ConfigParser(interpolation=None)
+        manifest.read(out / "manifest.ini")
+        assert manifest[opt.section][opt.key] == written
+
+    def test_certificate_commands_take_no_simulation_flags(self, capsys):
+        for command in ("check-gains", "equilibrium", "sweep"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--dt", "0.01"])
+            assert excinfo.value.code == 2
+        assert "unrecognized arguments: --dt" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy():
+    # only the equilibrium search needs scipy, and importing it dominates start-up
+    code = "import sys, hooprobot.cli; sys.exit('scipy' in sys.modules)"
+    src = str(Path(hooprobot.__file__).resolve().parents[1])
+    assert subprocess.run([sys.executable, "-c", code], cwd=src).returncode == 0
 
 
 class TestCheckGainsCommand:

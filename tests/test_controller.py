@@ -6,12 +6,11 @@ import pytest
 
 from hooprobot.controller import ControllerState, Gains, error, integrator_rate, pid, step
 from hooprobot.geometry import christoffel
-from hooprobot.plant import HoopState, PlantParams
+from hooprobot.plant import HoopState, PlantParams, inertia_field
 from hooprobot.reference import ReferenceSample, make_reference
 from hooprobot.regularizer import (
     NominalParams,
     nominal_from_true,
-    nominal_inertia_field,
     regularize,
 )
 from hooprobot.sim import SimConfig, integrate
@@ -112,7 +111,7 @@ class TestIntegratorRate:
         assert integrator_rate(BELIEVED, 0.0, 3.0, 5.0, 0.7) == 0.7
 
     def test_transport_term_matches_connection(self):
-        field = nominal_inertia_field(BELIEVED)
+        field = inertia_field(BELIEVED)
         rng = np.random.default_rng(31)
         for _ in range(50):
             q = float(rng.uniform(-math.pi, math.pi))

@@ -8,7 +8,6 @@ from hooprobot.geometry import christoffel
 from hooprobot.plant import (
     HoopState,
     PlantParams,
-    SingularCouplingError,
     derivative,
     gravity_torques,
     inertia_field,
@@ -16,9 +15,7 @@ from hooprobot.plant import (
 from hooprobot.regularizer import (
     NominalParams,
     nominal_from_true,
-    nominal_inertia_field,
     regularize,
-    regularized_actuator_terms,
     shaping_torque,
 )
 
@@ -68,7 +65,7 @@ class TestNominalFromTrue:
 
     def test_factor_one_reproduces_plant_profile(self):
         n = nominal_from_true(TRUE, 1.0)
-        field_n = nominal_inertia_field(n)
+        field_n = inertia_field(n)
         field_p = inertia_field(TRUE)
         for q in np.linspace(-math.pi, math.pi, 21):
             assert field_n.evaluate(q) == pytest.approx(field_p.evaluate(q), rel=1e-14)
@@ -173,24 +170,3 @@ class TestRegularize:
                 residual = inertia * rates[2] + inertia * gamma * omega_a * omega_e
                 assert residual == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
-
-class TestRegularizedActuatorTerms:
-    def test_interconnection_vanishes_without_velocity_error(self):
-        shaped, inter = regularized_actuator_terms(BELIEVED, 0.8, 2.5, 0.0)
-        assert inter == 0.0
-        assert math.isfinite(shaped)
-
-    def test_shaped_gravity_zero_at_hanging_angle(self):
-        shaped, _ = regularized_actuator_terms(BELIEVED, 0.0, 1.0, 1.0)
-        assert shaped == pytest.approx(0.0, abs=1e-15)
-
-    def test_interconnection_bilinear(self):
-        _, base = regularized_actuator_terms(BELIEVED, 0.7, 1.2, 0.8)
-        _, scaled = regularized_actuator_terms(BELIEVED, 0.7, 2.4, 1.6)
-        assert scaled == pytest.approx(4.0 * base, rel=1e-12)
-
-    def test_singular_believed_coupling_raises(self):
-        heavy_arm = NominalParams(m_h=1.0, i_h=0.05, r=0.2, m_a=5.0, i_a=0.01, l=0.1)
-        bad_angle = math.acos(heavy_arm.pendulum_inertia / heavy_arm.coupling_amp)
-        with pytest.raises(SingularCouplingError):
-            regularized_actuator_terms(heavy_arm, bad_angle, 1.0, 1.0)

@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hooprobot.controller import Gains
+from hooprobot import controller
+from hooprobot.controller import ControllerState, Gains
 from hooprobot.plant import (
     HoopState,
     PlantParams,
@@ -13,6 +14,7 @@ from hooprobot.plant import (
     coupling_gain,
     derivative,
 )
+from hooprobot.reference import make_reference
 from hooprobot.regularizer import nominal_from_true
 from hooprobot.sim import (
     CSV_HEADER,
@@ -222,6 +224,35 @@ class TestIntegrate:
         sup_plain = max(abs(plain.o_e[i]) for i in window)
         sup_assisted = max(abs(assisted.o_e[i]) for i in window)
         assert sup_assisted < 0.5 * sup_plain
+
+
+class TestControllerEvaluations:
+    @pytest.mark.parametrize("hold_dt, expected", [
+        (None, 4 * 1000 + 1),  # four RK4 stages per step, plus the last sample
+        (0.01, 101),  # one torque per hold instant; stages advance only o_I
+    ])
+    def test_each_torque_is_computed_once(self, monkeypatch, hold_dt, expected):
+        calls = []
+        step = controller.step
+
+        def counted(*args):
+            calls.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(controller, "step", counted)
+        integrate(make_config(t_end=1.0, hold_dt=hold_dt))
+        assert len(calls) == expected
+
+    def test_recorded_torque_is_the_torque_at_the_recorded_state(self):
+        cfg = make_config(t_end=1.0)
+        traj = integrate(cfg)
+        ref = make_reference("fixed_point", 0.0)
+        for i in (0, 37, len(traj) - 1):
+            s = HoopState(traj.theta[i], traj.o[i], traj.omega[i],
+                          traj.theta_a[i], traj.omega_a[i])
+            cs = ControllerState(o_I=traj.o_I[i])
+            tau_u, _ = controller.step(cfg.nominal, GAINS, s, ref(traj.t[i]), cs)
+            assert (traj.tau_u[i], traj.tilde_tau_u[i]) == (tau_u, cs.last_pid_torque)
 
 
 class TestTrajectoryCsv:
