@@ -24,7 +24,7 @@ from .geometry import InertiaField, cos_squared_field
 
 # Denominator guard for the coupling gain; below this the input matrix is
 # effectively singular and no torque allocation is meaningful.
-_COUPLING_SINGULARITY_TOL = 1e-12
+COUPLING_SINGULARITY_TOL = 1e-12
 
 
 class SingularCouplingError(ValueError):
@@ -65,7 +65,10 @@ class PlantParams:
     Disturbances ``delta_s`` (spin channel) and ``delta_a`` (actuator channel)
     are constant torques added to the respective reduced equations; they
     default to zero.  ``g`` is kept as a parameter so conservation tests can
-    switch gravity off.
+    switch gravity off.  The pendulum inertia i_a + m_a l^2 must exceed the
+    coupling amplitude m_a r l; otherwise the coupling denominator of
+    ``coupling_gain`` vanishes at some actuator angle, and no torque reaches
+    both channels there.
     """
 
     m_h: float
@@ -91,6 +94,11 @@ class PlantParams:
         if not self.l < self.r:
             raise ValueError(
                 f"actuator arm must fit inside the hoop: l={self.l!r} >= r={self.r!r}"
+            )
+        if not self.pendulum_inertia > self.coupling_amp:
+            raise ValueError(
+                "input coupling can vanish: i_a + m_a l^2 = "
+                f"{self.pendulum_inertia!r} must exceed m_a r l = {self.coupling_amp!r}"
             )
         if not (-math.pi / 2 < self.beta < math.pi / 2):
             raise ValueError(f"incline angle must lie in (-pi/2, pi/2), got {self.beta!r}")
@@ -144,7 +152,7 @@ def coupling_gain(p: PlantParams, theta_a: float) -> float:
     """Gain B(theta_a) mapping the input torque onto the actuator equation."""
     coupling = p.coupling_amp * math.cos(theta_a)
     denom = p.pendulum_inertia - coupling
-    if abs(denom) < _COUPLING_SINGULARITY_TOL:
+    if abs(denom) < COUPLING_SINGULARITY_TOL:
         raise SingularCouplingError(
             f"input coupling singular at theta_a={theta_a!r}: "
             f"pendulum inertia {p.pendulum_inertia!r} cancels coupling {coupling!r}"

@@ -38,7 +38,9 @@ class NominalParams:
     Unlike the true plant there is no l < r constraint: a 50% overestimate of
     the arm can exceed the (known) hoop radius and the controller must still
     function.  The reduced-inertia positivity constraint is kept because the
-    control law divides by the believed inertia.
+    control law divides by the believed inertia.  Nor must the believed
+    pendulum inertia exceed the coupling amplitude: the controller never
+    divides by the believed coupling denominator.
     """
 
     m_h: float

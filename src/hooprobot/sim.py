@@ -8,6 +8,12 @@ between sampling instants instead).  Everything is plain-float arithmetic in
 a fixed order, so identical configurations produce bit-identical
 trajectories.
 
+Each RK4 stage is one call of the fused kernel that ``closed_loop`` builds:
+the controller, the regularizer and the plant derivative in one function,
+bit-identical to the composition of the modular functions in
+``controller``, ``regularizer`` and ``plant``, which stay its readable
+reference and its test oracle.
+
 The energy and Lagrangian-oracle routines are deliberately built from the
 frame geometry rather than the closed-form reduced equations, so they can
 catch sign and wiring mistakes in the plant module instead of inheriting
@@ -18,13 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import Callable, Optional
 
-from . import controller as ctl
-from . import plant as plt
-from .controller import ControllerState, Gains
-from .plant import HoopState, PlantParams, SingularCouplingError
-from .reference import SCENARIOS, make_reference
+from .controller import Gains
+from .plant import (
+    COUPLING_SINGULARITY_TOL,
+    HoopState,
+    PlantParams,
+    SingularCouplingError,
+    coupling_gain,
+)
+from .reference import SCENARIOS, Reference, make_reference
 from .regularizer import NominalParams
 
 DIVERGENCE_LIMIT = 1e6
@@ -43,6 +53,14 @@ class DivergenceError(RuntimeError):
         self.time = time
         self.state = state
         self.trajectory = trajectory
+
+
+# The make_reference parameters of each scenario, as (keyword, SimConfig field).
+_SCENARIO_PARAMS = {
+    "fixed_point": (),
+    "ramp": (("v", "ramp_v"),),
+    "sinusoid": (("amplitude", "sin_amplitude"), ("rate", "sin_rate")),
+}
 
 
 @dataclass
@@ -79,14 +97,9 @@ class SimConfig:
         if self.hold_dt is not None and not (math.isfinite(self.hold_dt) and self.hold_dt > 0.0):
             raise ValueError(f"hold_dt must be positive when set, got {self.hold_dt!r}")
 
-    def reference(self):
-        if self.scenario == "fixed_point":
-            return make_reference("fixed_point", self.o_ref0)
-        if self.scenario == "ramp":
-            return make_reference("ramp", self.o_ref0, v=self.ramp_v)
-        return make_reference(
-            "sinusoid", self.o_ref0, amplitude=self.sin_amplitude, rate=self.sin_rate
-        )
+    def reference(self) -> Reference:
+        params = {key: getattr(self, name) for key, name in _SCENARIO_PARAMS[self.scenario]}
+        return make_reference(self.scenario, self.o_ref0, **params)
 
 
 @dataclass
@@ -238,6 +251,102 @@ def lagrangian_oracle(
     return omega_dot + p.delta_s / inertia, omega_a_dot + p.delta_a / inertia
 
 
+def closed_loop(
+    cfg: SimConfig, reference: Reference
+) -> Callable[[float, tuple, Optional[tuple]], tuple]:
+    """The closed-loop right-hand side of ``cfg`` as one fused stage function.
+
+    Returns ``stage(t, y, held) -> (rates, tau_u, tilde_tau_u)``.  ``y`` is
+    the augmented state (theta, o, omega, theta_a, omega_a, o_I) and
+    ``rates`` its six time derivatives.  With ``held`` None the stage
+    computes the control torque at (t, y) and returns it next to the PID
+    torque before regularization (both including feedforward, when set).
+    In hold mode ``held`` is the (tau_u, tilde_tau_u) pair frozen at the
+    last sampling instant: the plant takes that torque, only the
+    integrator rate is evaluated, and the pair is returned as given.  An
+    open loop gives zero torque and a zero integrator rate.
+
+    This is ``controller.step`` (error, PID, ``regularize``,
+    ``integrator_rate``) followed by ``plant.derivative``, with the
+    parameter constants read once per run and cos, sin, sin 2 of theta_a,
+    sin(theta_a + beta) and the reference sampled once per stage.  Every
+    expression keeps the operand order of those functions, and a constant
+    is hoisted only where it is a left-to-right prefix of one, so the rates
+    and torques equal the modular composition bit for bit; the tests hold
+    the two against each other.  The checks are the same as well: a
+    non-finite torque raises ValueError, a vanishing input-coupling
+    denominator SingularCouplingError.
+    """
+    p, n, g = cfg.plant, cfg.nominal, cfg.gains
+    sin, cos, isfinite = math.sin, math.cos, math.isfinite
+    open_loop, feedforward = cfg.open_loop, cfg.feedforward
+    # true plant (plant.gravity_torques, coupling_gain, derivative)
+    beta, neg_r = p.beta, -p.r
+    rolling, dip = p.rolling_inertia, p.inertia_dip
+    amp, pend = p.coupling_amp, p.pendulum_inertia
+    m_a, grav, l = p.m_a, p.g, p.l
+    delta_s, delta_a = p.delta_s, p.delta_a
+    spin_incline = p.r * p.m_total * p.g * sin(p.beta)
+    spin_hang = p.m_a**2 * p.r * p.l**2 * p.g / p.pendulum_inertia
+    act_quad = -(p.coupling_amp**2 / p.pendulum_inertia)
+    # believed parameters and gains (controller, regularizer)
+    n_r, n_rolling, n_dip, n_amp = n.r, n.rolling_inertia, n.inertia_dip, n.coupling_amp
+    shaping = n.m_a**2 * n.r * n.l**2 * n.g / (2.0 * n.pendulum_inertia)
+    k_p, k_d, k_i = g.k_p, g.k_d, g.k_i
+
+    def stage(t: float, y: tuple, held: Optional[tuple]) -> tuple:
+        theta, o, omega, theta_a, omega_a, o_i = y
+        cos_a = cos(theta_a)
+        sin_a = sin(theta_a)
+        sin_2a = sin(2.0 * theta_a)
+        omega_a_sq = omega_a**2
+        if open_loop:
+            tau_u = tilde = o_i_rate = 0.0
+        else:
+            ref = reference(t)
+            eta_e = -(o - ref.o_ref)
+            n_inertia = n_rolling - n_dip * cos_a**2
+            slope = n_dip * sin_2a
+            o_i_rate = eta_e - slope / (2.0 * n_inertia) * omega_a * o_i
+            if held is None:
+                omega_e = omega + ref.o_dot_ref / n_r
+                tilde = -n_inertia * (k_p * eta_e + k_d * omega_e + k_i * o_i)
+                tau_u = (
+                    -(0.5 * slope * omega_a * omega_e)
+                    + n_amp * sin_a * omega_a_sq
+                    + shaping * sin_2a
+                    + tilde
+                )
+                if feedforward:
+                    tau_ref = n_inertia * (-ref.o_ddot_ref / n_r)
+                    tau_u += tau_ref
+                    tilde += tau_ref
+            else:
+                tau_u, tilde = held
+        if not isfinite(tau_u):
+            raise ValueError(f"control torque must be finite, got {tau_u!r}")
+        inertia = rolling - dip * cos_a**2
+        sin_hang = sin(theta_a + beta)
+        coupling = amp * cos_a
+        denom = pend - coupling
+        if abs(denom) < COUPLING_SINGULARITY_TOL:
+            coupling_gain(p, theta_a)  # raises the plant's SingularCouplingError
+        coupling_ratio = coupling / pend
+        tau_spin = spin_incline - spin_hang * cos_a * sin_hang
+        tau_act = coupling_ratio * tau_spin - inertia * m_a * grav * l * sin_hang / pend
+        omega_dot = (-(amp * sin_a * omega_a_sq) + tau_spin + delta_s + tau_u) / inertia
+        omega_a_dot = (
+            act_quad * sin_a * cos_a * omega_a_sq
+            + tau_act
+            + delta_a
+            + (coupling_ratio - inertia / denom) * tau_u
+        ) / inertia
+        rates = (omega, neg_r * omega, omega_dot, omega_a, omega_a_dot, o_i_rate)
+        return rates, tau_u, tilde
+
+    return stage
+
+
 def integrate(cfg: SimConfig) -> Trajectory:
     """Run the closed loop; returns the recorded trajectory.
 
@@ -247,96 +356,84 @@ def integrate(cfg: SimConfig) -> Trajectory:
     while the integrator state keeps its continuous dynamics; by default the
     torque follows the stage states exactly.
     """
-    p, n, g = cfg.plant, cfg.nominal, cfg.gains
-    ref_fn = cfg.reference()
-    cs = ControllerState()
+    p, n = cfg.plant, cfg.nominal
+    reference = cfg.reference()
+    stage = closed_loop(cfg, reference)
     dt = cfg.dt
     steps = int(round(cfg.t_end / dt))
+    stride = cfg.stride
     # an open loop has no torque to hold
     hold = cfg.hold_dt is not None and not cfg.open_loop
     hold_steps = max(1, int(round(cfg.hold_dt / dt))) if hold else None
 
-    def control(t: float, s: HoopState, o_i: float) -> tuple[float, float]:
-        """Torque and integrator rate at one (possibly stage) state."""
-        if cfg.open_loop:
-            return 0.0, 0.0
-        ref = ref_fn(t)
-        cs.o_I = o_i
-        tau_u, o_i_rate = ctl.step(n, g, s, ref, cs)
-        if cfg.feedforward:
-            tau_ref = n.inertia(s.theta_a) * (-ref.o_ddot_ref / n.r)
-            tau_u += tau_ref
-            cs.last_pid_torque += tau_ref
-            cs.last_torque = tau_u
-        return tau_u, o_i_rate
-
-    held_tau: Optional[float] = None
-
-    def rhs(t: float, y: tuple) -> tuple:
-        s = HoopState(theta=y[0], o=y[1], omega=y[2], theta_a=y[3], omega_a=y[4])
-        if held_tau is None:
-            tau_u, o_i_rate = control(t, s, y[5])
-        else:  # the torque is frozen; only the integrator keeps its dynamics
-            eta_e = ctl.error(s, ref_fn(t), n.r)[2]
-            tau_u, o_i_rate = held_tau, ctl.integrator_rate(n, y[3], y[4], y[5], eta_e)
-        return plt.derivative(p, s, tau_u) + (o_i_rate,)
-
     traj = Trajectory()
 
-    def record(t: float, y: tuple) -> None:
-        """Append one sample.  The torques are the ones ``cs`` logged last: the
-        k1 evaluation at this (t, y), or the held torque in hold mode."""
-        s = HoopState(theta=y[0], o=y[1], omega=y[2], theta_a=y[3], omega_a=y[4])
-        o_e, omega_e, _ = ctl.error(s, ref_fn(t), n.r)
-        ke, pe = energy(p, s)
+    def record(t: float, y: tuple, tau_u: float, tilde_tau_u: float) -> None:
+        """Append one sample with the torques in force at (t, y)."""
+        theta, o, omega, theta_a, omega_a, o_i = y
+        ref = reference(t)
+        ke, pe = energy(p, HoopState(theta, o, omega, theta_a, omega_a))
         traj.t.append(t)
-        traj.theta.append(y[0])
-        traj.o.append(y[1])
-        traj.omega.append(y[2])
-        traj.theta_a.append(y[3])
-        traj.omega_a.append(y[4])
-        traj.o_I.append(y[5])
-        traj.o_e.append(o_e)
-        traj.omega_e.append(omega_e)
-        traj.tau_u.append(cs.last_torque)
-        traj.tilde_tau_u.append(cs.last_pid_torque)
+        traj.theta.append(theta)
+        traj.o.append(o)
+        traj.omega.append(omega)
+        traj.theta_a.append(theta_a)
+        traj.omega_a.append(omega_a)
+        traj.o_I.append(o_i)
+        traj.o_e.append(o - ref.o_ref)
+        traj.omega_e.append(omega + ref.o_dot_ref / n.r)
+        traj.tau_u.append(tau_u)
+        traj.tilde_tau_u.append(tilde_tau_u)
         traj.energy.append(ke + pe)
 
     y = (
         cfg.initial.theta, cfg.initial.o, cfg.initial.omega,
         cfg.initial.theta_a, cfg.initial.omega_a, 0.0,
     )
+    held = None  # hold mode: the (tau_u, tilde_tau_u) frozen at the last instant
     half = dt / 2.0
     sixth = dt / 6.0
+    limit = DIVERGENCE_LIMIT
     for i in range(steps + 1):
         t = i * dt
         if hold_steps is not None and i % hold_steps == 0:
-            held_tau = control(t, HoopState(*y[:5]), y[5])[0]
+            held = None  # sample a fresh torque at this instant
         if i < steps:
-            k1 = rhs(t, y)
-        elif i % cfg.stride == 0 and held_tau is None:
-            control(t, HoopState(*y[:5]), y[5])  # no k1 at the last sample
-        if i % cfg.stride == 0:
-            record(t, y)
+            k1, tau_u, tilde_tau_u = stage(t, y, held)
+            if hold_steps is not None:
+                held = (tau_u, tilde_tau_u)
+        elif i % stride == 0 and held is None:
+            _, tau_u, tilde_tau_u = stage(t, y, None)  # no k1 at the last sample
+        if i % stride == 0:
+            record(t, y, tau_u, tilde_tau_u)
         if i == steps:
             break
-        y2 = tuple(y[j] + half * k1[j] for j in range(6))
-        k2 = rhs(t + half, y2)
-        y3 = tuple(y[j] + half * k2[j] for j in range(6))
-        k3 = rhs(t + half, y3)
-        y4 = tuple(y[j] + dt * k3[j] for j in range(6))
-        k4 = rhs(t + dt, y4)
-        y_next = tuple(
-            y[j] + sixth * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-            for j in range(6)
-        )
-        ok = True
-        for component in y_next:
-            if not (math.isfinite(component) and abs(component) <= DIVERGENCE_LIMIT):
-                ok = False
-                break
-        if not ok:
+        theta, o, omega, theta_a, omega_a, o_i = y
+        k1_th, k1_o, k1_w, k1_qa, k1_wa, k1_oi = k1
+        (k2_th, k2_o, k2_w, k2_qa, k2_wa, k2_oi), _, _ = stage(t + half, (
+            theta + half * k1_th, o + half * k1_o, omega + half * k1_w,
+            theta_a + half * k1_qa, omega_a + half * k1_wa, o_i + half * k1_oi,
+        ), held)
+        (k3_th, k3_o, k3_w, k3_qa, k3_wa, k3_oi), _, _ = stage(t + half, (
+            theta + half * k2_th, o + half * k2_o, omega + half * k2_w,
+            theta_a + half * k2_qa, omega_a + half * k2_wa, o_i + half * k2_oi,
+        ), held)
+        (k4_th, k4_o, k4_w, k4_qa, k4_wa, k4_oi), _, _ = stage(t + dt, (
+            theta + dt * k3_th, o + dt * k3_o, omega + dt * k3_w,
+            theta_a + dt * k3_qa, omega_a + dt * k3_wa, o_i + dt * k3_oi,
+        ), held)
+        theta_n = theta + sixth * (k1_th + 2.0 * k2_th + 2.0 * k3_th + k4_th)
+        o_n = o + sixth * (k1_o + 2.0 * k2_o + 2.0 * k3_o + k4_o)
+        omega_n = omega + sixth * (k1_w + 2.0 * k2_w + 2.0 * k3_w + k4_w)
+        theta_a_n = theta_a + sixth * (k1_qa + 2.0 * k2_qa + 2.0 * k3_qa + k4_qa)
+        omega_a_n = omega_a + sixth * (k1_wa + 2.0 * k2_wa + 2.0 * k3_wa + k4_wa)
+        o_i_n = o_i + sixth * (k1_oi + 2.0 * k2_oi + 2.0 * k3_oi + k4_oi)
+        # a NaN or an infinity fails the comparison as well
+        if not (
+            abs(theta_n) <= limit and abs(o_n) <= limit and abs(omega_n) <= limit
+            and abs(theta_a_n) <= limit and abs(omega_a_n) <= limit and abs(o_i_n) <= limit
+        ):
             traj.diverged_at = t + dt
             raise DivergenceError(t + dt, y, traj)
-        y = y_next
+        y = (theta_n, o_n, omega_n, theta_a_n, omega_a_n, o_i_n)
     return traj

@@ -16,6 +16,7 @@ from hooprobot.plant import (
     gravity_torques,
     inertia_field,
 )
+from hooprobot.regularizer import NominalParams
 from hooprobot.sim import lagrangian_oracle
 
 
@@ -28,11 +29,6 @@ def make_plant(**overrides):
 
 PLANT = make_plant()
 FLAT = make_plant(beta=0.0)
-
-# coupling amplitude exceeds the pendulum inertia here, so the input
-# allocation denominator crosses zero at acos(pend/amp)
-SINGULAR = PlantParams(m_h=1.0, i_h=0.05, r=0.2, m_a=5.0, i_a=0.01, l=0.1)
-SINGULAR_ANGLE = math.acos(SINGULAR.pendulum_inertia / SINGULAR.coupling_amp)
 
 
 class TestParams:
@@ -77,9 +73,25 @@ class TestParams:
     def test_reduced_inertia_stays_positive_in_degenerate_limit(self):
         # J*A - (m_a r l)^2 expands to i_h*i_a + i_h*m_a*l^2 + M*r^2*i_a
         # + m_h*m_a*r^2*l^2, so positive inputs can never make the reduced
-        # inertia indefinite; check the worst case stays barely positive
-        p = PlantParams(m_h=1e-6, i_h=1e-9, r=0.2, m_a=2.0, i_a=1e-6, l=0.19)
+        # inertia indefinite; check the worst case stays barely positive.
+        # PlantParams rejects this set (i_a + m_a l^2 < m_a r l); a belief
+        # shares the derivation and may hold it.
+        p = NominalParams(m_h=1e-6, i_h=1e-9, r=0.2, m_a=2.0, i_a=1e-6, l=0.19)
         assert 0.0 < p.rolling_inertia - p.coupling_amp**2 / p.pendulum_inertia < 1e-4
+
+    @pytest.mark.parametrize("overrides", [
+        dict(i_a=0.001, l=0.17),  # 0.0958 < 0.1004: singular near 17.4 degrees
+        dict(m_h=1.0, i_h=0.05, r=0.2, m_a=5.0, i_a=0.01, l=0.1),  # 0.06 < 0.1
+        dict(r=0.2, m_a=1.0, i_a=0.01, l=0.1),  # 0.02 = 0.02: singular at 0
+    ])
+    def test_rejects_vanishing_input_coupling(self, overrides):
+        with pytest.raises(ValueError, match="input coupling can vanish"):
+            make_plant(**overrides)
+        # the controller never divides by the believed coupling denominator
+        base = dict(m_h=1.0, i_h=0.021, r=0.18, m_a=3.28, i_a=0.035, l=0.14)
+        base.update(overrides)
+        believed = NominalParams(**base)
+        assert believed.pendulum_inertia <= believed.coupling_amp
 
 
 class TestGravityTorques:
@@ -128,13 +140,14 @@ class TestCouplingGain:
                 coupling_gain(PLANT, -q), rel=1e-13
             )
 
-    def test_singular_configuration_raises(self):
+    def test_singular_configuration_raises(self, singular_plant):
+        bad_angle = math.acos(singular_plant.pendulum_inertia / singular_plant.coupling_amp)
         with pytest.raises(SingularCouplingError):
-            coupling_gain(SINGULAR, SINGULAR_ANGLE)
+            coupling_gain(singular_plant, bad_angle)
         with pytest.raises(SingularCouplingError):
-            coupling_gain(SINGULAR, -SINGULAR_ANGLE)
+            coupling_gain(singular_plant, -bad_angle)
         # away from the bad angle the gain is fine
-        assert math.isfinite(coupling_gain(SINGULAR, SINGULAR_ANGLE + 0.5))
+        assert math.isfinite(coupling_gain(singular_plant, bad_angle + 0.5))
 
 
 class TestDerivative:
