@@ -5,7 +5,8 @@ inequalities (an upper bound on the integral gain, a lower bound on the
 proportional gain) plus a pair of 3x3 matrices: P_s bounding the Lyapunov
 function from below and Q_s bounding its decay rate.  This module evaluates
 all of them numerically for a concrete parameter set so a gain choice can be
-audited before running anything.
+audited before running anything: ``check_gains`` for one triple,
+``certify_gains`` for many, with the same formulas and the same results.
 
 Caveat recorded here because it is easy to trip over: the positive
 definiteness of P_s under the stated gain conditions is an asymptotic claim.
@@ -103,14 +104,21 @@ def admissible_gain_sample(
     the P_s matrix can lose definiteness even though the inequalities hold,
     see the module docstring.
     """
-    rng = np.random.default_rng(seed)
+    # One draw of the whole (count, 3) block consumes the generator in the
+    # same order as per-triple scalar uniform(k_d), uniform(fraction),
+    # uniform(margin) calls, and low + (high - low) * u is the arithmetic
+    # Generator.uniform applies, so the triples are bit-identical to that loop.
+    d_lo, d_hi = k_d_range
+    f_lo, f_hi = k_i_fraction
+    m_lo, m_hi = k_p_margin
+    d_span, f_span, m_span = d_hi - d_lo, f_hi - f_lo, m_hi - m_lo
     triples: list[Gains] = []
-    for _ in range(count):
-        k_d = float(rng.uniform(*k_d_range))
+    for u_d, u_f, u_m in np.random.default_rng(seed).random((count, 3)).tolist():
+        k_d = d_lo + d_span * u_d
         upper = k_d**3 * (1.0 - constants.delta**2) / constants.mu
-        k_i = float(rng.uniform(*k_i_fraction)) * upper
+        k_i = (f_lo + f_span * u_f) * upper
         _, _, floor = gain_thresholds(k_d, k_i, kappa, r_const)
-        k_p = float(rng.uniform(*k_p_margin)) * floor
+        k_p = (m_lo + m_span * u_m) * floor
         triples.append(Gains(k_p=k_p, k_d=k_d, k_i=k_i))
     return triples
 
@@ -156,6 +164,27 @@ class CertificateReport:
         return "\n".join(lines)
 
 
+def _check_r_const(r_const: float) -> None:
+    if not (math.isfinite(r_const) and r_const > 0.0):
+        raise ValueError(f"r_const must be positive, got {r_const!r}")
+
+
+def _margins(
+    k_p: float, k_d: float, k_i: float, delta: float, mu: float, kappa: float,
+    r_const: float,
+) -> tuple:
+    """The report fields k_i_upper .. passed of one triple, in field order."""
+    k_i_upper = k_d**3 * (1.0 - delta**2) / mu
+    k_1, k_2, k_p_floor = gain_thresholds(k_d, k_i, kappa, r_const)
+    kappa_ok = 1.0 / mu < kappa < 2.0 / mu
+    k_i_ok = 0.0 < k_i < k_i_upper
+    k_p_ok = k_p > k_p_floor
+    return (
+        k_i_upper, k_1, k_2, k_p_floor, k_i_upper - k_i, k_p - k_p_floor,
+        kappa_ok, k_i_ok, k_p_ok, kappa_ok and k_i_ok and k_p_ok,
+    )
+
+
 def check_gains(
     g: Gains,
     delta: float,
@@ -175,16 +204,9 @@ def check_gains(
     operating region) are supplied, the Lyapunov matrices are evaluated too
     and their eigenvalues included.
     """
-    if not (math.isfinite(r_const) and r_const > 0.0):
-        raise ValueError(f"r_const must be positive, got {r_const!r}")
+    _check_r_const(r_const)
     k_p, k_d, k_i = g.k_p, g.k_d, g.k_i
-
-    k_i_upper = k_d**3 * (1.0 - delta**2) / mu
-    k_1, k_2, k_p_floor = gain_thresholds(k_d, k_i, kappa, r_const)
-
-    kappa_ok = 1.0 / mu < kappa < 2.0 / mu
-    k_i_ok = 0.0 < k_i < k_i_upper
-    k_p_ok = k_p > k_p_floor
+    margins = _margins(k_p, k_d, k_i, delta, mu, kappa, r_const)
 
     p_eigs = q_eigs = None
     p_pd = q_pd = None
@@ -199,12 +221,7 @@ def check_gains(
         q_pd = eigs.q_positive_definite
 
     return CertificateReport(
-        k_p=k_p, k_d=k_d, k_i=k_i,
-        delta=delta, mu=mu, kappa=kappa, r_const=r_const,
-        k_i_upper=k_i_upper, k_1=k_1, k_2=k_2, k_p_floor=k_p_floor,
-        k_i_margin=k_i_upper - k_i, k_p_margin=k_p - k_p_floor,
-        kappa_ok=kappa_ok, k_i_ok=k_i_ok, k_p_ok=k_p_ok,
-        passed=kappa_ok and k_i_ok and k_p_ok,
+        k_p, k_d, k_i, delta, mu, kappa, r_const, *margins,
         p_eigenvalues=p_eigs, q_eigenvalues=q_eigs,
         p_positive_definite=p_pd, q_positive_definite=q_pd,
     )
@@ -231,7 +248,47 @@ def proof_matrices(
     of the four can be overridden, e.g. zeroing all cross terms makes P_s
     diagonal for sanity checks.
     """
-    k_p, k_d, k_i = g.k_p, g.k_d, g.k_i
+    _check_inertia_bounds(mu_min, mu_max)
+    if not (math.isfinite(theta_bound) and theta_bound > 0.0):
+        raise ValueError(f"theta_bound must be positive, got {theta_bound!r}")
+    p, q = _bound_entries(
+        g.k_p, g.k_d, g.k_i, alpha, kappa, theta_bound, 1.0 - mu_min / mu_max, mu_max,
+        sigma=sigma, beta=beta, gamma=gamma,
+    )
+    p_s, q_s = np.array(p), np.array(q)
+    _check_finite(p_s, q_s)
+    return p_s, q_s
+
+
+def _check_inertia_bounds(mu_min: float, mu_max: float) -> None:
+    if not (math.isfinite(mu_min) and math.isfinite(mu_max) and 0.0 < mu_min <= mu_max):
+        raise ValueError(f"need 0 < mu_min <= mu_max, got {mu_min!r}, {mu_max!r}")
+
+
+def _check_finite(p_s: np.ndarray, q_s: np.ndarray) -> None:
+    if not (np.isfinite(p_s).all() and np.isfinite(q_s).all()):
+        raise ValueError("non-finite entry in Lyapunov matrices")
+
+
+def _bound_entries(
+    k_p: float,
+    k_d: float,
+    k_i: float,
+    alpha: Optional[float],
+    kappa: float,
+    theta_bound: float,
+    delta: float,
+    mu_max: float,
+    sigma: Optional[float] = None,
+    beta: Optional[float] = None,
+    gamma: Optional[float] = None,
+) -> tuple[list[list[float]], list[list[float]]]:
+    """Rows of P_s and Q_s in Python floats; ``delta`` is 1 - mu_min/mu_max.
+
+    The entries stay scalar float arithmetic: numpy's array power differs
+    from Python's ``**`` in the last ulp for some k_d, which would move the
+    eigenvalues.
+    """
     if alpha is None:
         alpha = k_i / k_d**2
     if beta is None:
@@ -240,30 +297,18 @@ def proof_matrices(
         sigma = 2.0 * kappa * k_i
     if gamma is None:
         gamma = k_i * (alpha * k_d + k_p) / k_d
-    if not (math.isfinite(mu_min) and math.isfinite(mu_max) and 0.0 < mu_min <= mu_max):
-        raise ValueError(f"need 0 < mu_min <= mu_max, got {mu_min!r}, {mu_max!r}")
-    if not (math.isfinite(theta_bound) and theta_bound > 0.0):
-        raise ValueError(f"theta_bound must be positive, got {theta_bound!r}")
-    delta = 1.0 - mu_min / mu_max
-
-    p_s = np.array(
-        [
-            [gamma, -sigma, -beta],
-            [-sigma, k_p / theta_bound, -alpha],
-            [-beta, -alpha, 1.0],
-        ]
-    )
+    p = [
+        [gamma, -sigma, -beta],
+        [-sigma, k_p / theta_bound, -alpha],
+        [-beta, -alpha, 1.0],
+    ]
     q_23 = (k_i - alpha * k_d**2) / (2.0 * k_d)
-    q_s = np.array(
-        [
-            [k_i**2 / k_d, 0.0, -delta * k_i],
-            [0.0, alpha * k_p - 2.0 * k_d / mu_max, q_23],
-            [-delta * k_i, q_23, k_d - alpha * mu_max],
-        ]
-    )
-    if not (np.isfinite(p_s).all() and np.isfinite(q_s).all()):
-        raise ValueError("non-finite entry in Lyapunov matrices")
-    return p_s, q_s
+    q = [
+        [k_i**2 / k_d, 0.0, -delta * k_i],
+        [0.0, alpha * k_p - 2.0 * k_d / mu_max, q_23],
+        [-delta * k_i, q_23, k_d - alpha * mu_max],
+    ]
+    return p, q
 
 
 class LyapunovEigs(NamedTuple):
@@ -297,6 +342,54 @@ def lyapunov_matrices(
         p_positive_definite=bool(p_eigs[0] > 0.0),
         q_positive_definite=bool(q_eigs[0] > 0.0),
     )
+
+
+# Triples per stacked eigvalsh call in certify_gains: large enough that numpy's
+# per-call overhead is spread thin, small enough that one chunk's entry lists
+# and (n, 3, 3) stacks stay small next to the triples of a long sweep.
+CHUNK = 512
+
+
+def certify_gains(
+    triples: Sequence[Gains],
+    delta: float,
+    mu: float,
+    kappa: float,
+    r_const: float,
+    mu_min: float,
+    mu_max: float,
+) -> list[CertificateReport]:
+    """``check_gains`` with inertia bounds, at its default alpha and
+    theta_bound, for many triples: the reports equal it field for field.
+
+    Works through ``CHUNK`` triples at a time: the matrix entries and margins
+    are the same Python float arithmetic as the one-triple path, and each
+    chunk's P_s and Q_s go to ``np.linalg.eigvalsh`` as one (n, 3, 3) stack,
+    which gives the same eigenvalues bit for bit as one call per matrix.
+    """
+    _check_r_const(r_const)
+    _check_inertia_bounds(mu_min, mu_max)
+    spread = 1.0 - mu_min / mu_max
+    reports: list[CertificateReport] = []
+    for start in range(0, len(triples), CHUNK):
+        chunk = triples[start:start + CHUNK]
+        rows, p_entries, q_entries = [], [], []
+        for g in chunk:
+            k_p, k_d, k_i = g.k_p, g.k_d, g.k_i
+            rows.append((k_p, k_d, k_i, delta, mu, kappa, r_const,
+                         *_margins(k_p, k_d, k_i, delta, mu, kappa, r_const)))
+            p, q = _bound_entries(k_p, k_d, k_i, None, kappa, 1.0, spread, mu_max)
+            p_entries.append(p)
+            q_entries.append(q)
+        p_s, q_s = np.array(p_entries), np.array(q_entries)
+        _check_finite(p_s, q_s)
+        p_eigs = np.linalg.eigvalsh(p_s).tolist()
+        q_eigs = np.linalg.eigvalsh(q_s).tolist()
+        for row, p_row, q_row in zip(rows, p_eigs, q_eigs):
+            reports.append(CertificateReport(
+                *row, tuple(p_row), tuple(q_row), p_row[0] > 0.0, q_row[0] > 0.0,
+            ))
+    return reports
 
 
 class MonitorResult(NamedTuple):

@@ -17,6 +17,9 @@ import configparser
 import csv
 import math
 import sys
+from contextlib import nullcontext
+from dataclasses import replace
+from functools import partial
 from multiprocessing import Pool
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -329,25 +332,32 @@ def cmd_check_gains(args: argparse.Namespace) -> int:
             start, stop, step = (float(v) for v in spec_text.split(":"))
         except ValueError as exc:
             raise ConfigError(f"bad sweep range {spec_text!r}, want start:stop:step") from exc
+        if not all(math.isfinite(v) for v in (start, stop, step)) or step <= 0.0:
+            raise ConfigError(
+                f"bad sweep range {spec_text!r}, want finite start:stop and a step > 0"
+            )
         if name not in ("kp", "kd", "ki"):
             raise ConfigError(f"can only sweep kp, kd or ki, not {name!r}")
-        print(f"{name}\tk_i_margin\tk_p_margin\tlambda_min_P\tpassed")
+        values = []
         value = start
         while value <= stop + 1e-12:
-            candidate = {
-                "kp": Gains(value, gains.k_d, gains.k_i, gains.k_c),
-                "kd": Gains(gains.k_p, value, gains.k_i, gains.k_c),
-                "ki": Gains(gains.k_p, gains.k_d, value, gains.k_c),
-            }[name]
-            report = certificate.check_gains(
-                candidate, constants.delta, constants.mu, kappa,
-                r_const=args.r_const, mu_min=i_min, mu_max=i_max,
-            )
+            values.append(value)
+            value += step
+        try:
+            candidates = [
+                replace(gains, **{f"k_{name[1]}": value}) for value in values
+            ]
+        except ValueError as exc:
+            raise ConfigError(f"bad sweep range {spec_text!r}: {exc}") from exc
+        reports = certificate.certify_gains(
+            candidates, constants.delta, constants.mu, kappa, args.r_const, i_min, i_max,
+        )
+        print(f"{name}\tk_i_margin\tk_p_margin\tlambda_min_P\tpassed")
+        for value, report in zip(values, reports):
             print(
                 f"{value:g}\t{report.k_i_margin:.6g}\t{report.k_p_margin:.6g}"
                 f"\t{report.p_eigenvalues[0]:.6g}\t{report.passed}"
             )
-            value += step
         return 0
 
     report = certificate.check_gains(
@@ -376,37 +386,34 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_point(point) -> tuple:
-    (k_p, k_d, k_i, delta, mu, kappa, r_const, i_min, i_max) = point
-    report = certificate.check_gains(
-        Gains(k_p=k_p, k_d=k_d, k_i=k_i), delta, mu, kappa,
-        r_const=r_const, mu_min=i_min, mu_max=i_max,
-    )
-    return (
-        k_p, k_d, k_i,
-        report.k_i_margin, report.k_p_margin,
-        report.p_eigenvalues[0], report.q_eigenvalues[0],
-        report.passed and report.p_positive_definite,
-    )
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.count < 1 or args.jobs < 1:
+        raise ConfigError(
+            f"--count and --jobs must be >= 1, got {args.count} and {args.jobs}"
+        )
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
     _, _, constants, kappa, (i_min, i_max) = _certificate_inputs(cfg, args)
     triples = certificate.admissible_gain_sample(
         args.count, args.seed, constants, kappa, r_const=args.r_const,
     )
-    points = [
-        (g.k_p, g.k_d, g.k_i, constants.delta, constants.mu, kappa,
-         args.r_const, i_min, i_max)
-        for g in triples
+    certify = partial(
+        certificate.certify_gains, delta=constants.delta, mu=constants.mu, kappa=kappa,
+        r_const=args.r_const, mu_min=i_min, mu_max=i_max,
+    )
+    chunks = [
+        triples[start:start + certificate.CHUNK]
+        for start in range(0, len(triples), certificate.CHUNK)
     ]
-    if args.jobs > 1:
-        with Pool(args.jobs) as pool:
-            rows = pool.map(_sweep_point, points)
-    else:
-        rows = [_sweep_point(point) for point in points]
+    # Reports are reduced to CSV rows one chunk at a time, so a long sweep
+    # never holds more than one chunk of full reports.
+    with Pool(args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        parts = pool.imap(certify, chunks) if pool else map(certify, chunks)
+        rows = [
+            (r.k_p, r.k_d, r.k_i, r.k_i_margin, r.k_p_margin, r.p_eigenvalues[0],
+             r.q_eigenvalues[0], r.passed and r.p_positive_definite)
+            for reports in parts for r in reports
+        ]
 
     out_path = Path(args.out)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:

@@ -1,13 +1,18 @@
 """Gain conditions, Lyapunov bound matrices and the trajectory monitor."""
 import math
+import random
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hooprobot.certificate import (
+    CHUNK,
     CertificateReport,
     admissible_gain_sample,
+    certify_gains,
     check_gains,
     derived_constants,
     gain_thresholds,
@@ -234,6 +239,121 @@ class TestAdmissibleGainSample:
             q_mins.append(report.q_eigenvalues[0])
         assert q_mins == sorted(q_mins)
         assert q_mins[0] < q_mins[-1]
+
+
+def interleaved_sample(count, seed, constants, kappa, r_const=1.0,
+                       k_d_range=(1.0, 10.0), k_i_fraction=(0.05, 0.9),
+                       k_p_margin=(1.05, 3.0)):
+    """The sampler as first written: three scalar uniform draws per triple."""
+    rng = np.random.default_rng(seed)
+    triples = []
+    for _ in range(count):
+        k_d = float(rng.uniform(*k_d_range))
+        upper = k_d**3 * (1.0 - constants.delta**2) / constants.mu
+        k_i = float(rng.uniform(*k_i_fraction)) * upper
+        _, _, floor = gain_thresholds(k_d, k_i, kappa, r_const)
+        k_p = float(rng.uniform(*k_p_margin)) * floor
+        triples.append(Gains(k_p=k_p, k_d=k_d, k_i=k_i))
+    return triples
+
+
+def hexed(value):
+    """A value with every float spelled exactly (so -0.0 != 0.0) and its type."""
+    if isinstance(value, tuple):
+        return tuple(hexed(v) for v in value)
+    if isinstance(value, float):
+        return type(value).__name__, value.hex()
+    return type(value).__name__, value
+
+
+class TestSamplerStream:
+    @pytest.mark.parametrize("options", [
+        {},
+        {"r_const": 0.3, "k_d_range": (0.5, 20.0)},
+        {"k_i_fraction": (0.2, 0.99), "k_p_margin": (1.0, 1.5)},
+        {"r_const": 4.0, "k_d_range": (2.0, 2.5), "k_i_fraction": (0.0, 0.1),
+         "k_p_margin": (2.0, 10.0)},
+    ])
+    @pytest.mark.parametrize("seed", [0, 7, 2026, 2**40 + 3])
+    def test_one_draw_matches_interleaved_uniform_draws(self, seed, options):
+        c = derived_constants(BELIEVED, 5.0)
+        kappa = kappa_mid(c)
+        got = admissible_gain_sample(300, seed, c, kappa, **options)
+        want = interleaved_sample(300, seed, c, kappa, **options)
+        assert [hexed((g.k_p, g.k_d, g.k_i, g.k_c)) for g in got] == \
+            [hexed((g.k_p, g.k_d, g.k_i, g.k_c)) for g in want]
+
+
+gain_triples = st.tuples(
+    st.floats(0.01, 2000.0),  # k_p, mostly below or above the floor
+    st.floats(0.2, 15.0),     # k_d
+    st.floats(1e-3, 3000.0),  # k_i, often above its upper bound
+)
+
+
+class TestCertifyGains:
+    @pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, CHUNK + 1])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        drawn=st.lists(gain_triples, min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+        r_const=st.floats(0.05, 20.0),
+        kappa_scale=st.floats(0.8, 2.2),
+        spread=st.floats(0.0, 0.95),
+    )
+    def test_equals_check_gains_field_for_field(
+        self, count, drawn, seed, r_const, kappa_scale, spread,
+    ):
+        c = derived_constants(BELIEVED, 6.0)
+        kappa = kappa_scale / c.mu  # admissible only inside (1, 2)
+        mu_max = I_MAX
+        mu_min = mu_max * (1.0 - spread)
+        rng = random.Random(seed)
+        triples = [Gains(*t) for t in drawn[:count]]
+        while len(triples) < count:
+            k_d = rng.uniform(0.2, 15.0)
+            triples.append(Gains(k_p=rng.uniform(0.01, 2000.0), k_d=k_d,
+                                 k_i=rng.uniform(0.01, 1.2) * k_d**3))
+        batch = certify_gains(triples, c.delta, c.mu, kappa, r_const, mu_min, mu_max)
+        assert len(batch) == count
+        for g, got in zip(triples, batch):
+            want = check_gains(g, c.delta, c.mu, kappa, r_const=r_const,
+                               mu_min=mu_min, mu_max=mu_max)
+            for f in fields(CertificateReport):
+                assert hexed(getattr(got, f.name)) == hexed(getattr(want, f.name)), f.name
+
+    def test_mixed_verdicts_are_reported(self):
+        c = derived_constants(BELIEVED, 6.0)
+        kappa = kappa_mid(c)
+        reports = certify_gains([GAINS, Gains(120.0, 7.0, 4.0)], c.delta, c.mu, kappa,
+                                1.0, I_MIN, I_MAX)
+        assert [r.passed for r in reports] == [False, True]
+
+    def test_empty_input_gives_no_reports(self):
+        c = derived_constants(BELIEVED, 6.0)
+        assert certify_gains([], c.delta, c.mu, kappa_mid(c), 1.0, I_MIN, I_MAX) == []
+
+    @pytest.mark.parametrize("position", [0, CHUNK])
+    def test_non_finite_entry_raises(self, position):
+        c = derived_constants(BELIEVED, 6.0)
+        # finite gains whose products overflow: gamma and alpha k_p become inf
+        huge = Gains(1e300, 7.0, 1e102)
+        with pytest.raises(ValueError, match="non-finite"):
+            check_gains(huge, c.delta, c.mu, kappa_mid(c), mu_min=I_MIN, mu_max=I_MAX)
+        triples = [Gains(120.0, 7.0, 4.0)] * (CHUNK + 1)
+        triples[position] = huge
+        with pytest.raises(ValueError, match="non-finite"):
+            certify_gains(triples, c.delta, c.mu, kappa_mid(c), 1.0, I_MIN, I_MAX)
+
+    def test_validates_like_the_scalar_path(self):
+        c = derived_constants(BELIEVED, 6.0)
+        kappa = kappa_mid(c)
+        with pytest.raises(ValueError, match="r_const"):
+            certify_gains([GAINS], c.delta, c.mu, kappa, 0.0, I_MIN, I_MAX)
+        with pytest.raises(ValueError, match="mu_min"):
+            certify_gains([GAINS], c.delta, c.mu, kappa, 1.0, I_MAX, I_MIN)
+        with pytest.raises(ValueError, match="mu_min"):
+            certify_gains([GAINS], c.delta, c.mu, kappa, 1.0, math.nan, I_MAX)
 
 
 class TestReport:

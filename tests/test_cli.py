@@ -1,13 +1,16 @@
 """Command-line interface: config handling, subcommands, exit codes, outputs."""
 import configparser
+import csv
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import hooprobot
+from hooprobot import certificate
 from hooprobot.cli import (
     DEFAULTS,
     SCHEMA,
@@ -20,6 +23,8 @@ from hooprobot.cli import (
     parse_angle,
     settling_time,
 )
+from hooprobot.controller import Gains
+from hooprobot.regularizer import nominal_from_true
 from hooprobot.sim import Trajectory
 
 
@@ -252,9 +257,42 @@ class TestCheckGainsCommand:
         assert lines[0].startswith("kp\t")
         assert len(lines) == 4  # header + 90, 95, 100
 
+    @pytest.mark.parametrize("name, spec", [("kp", "90:100:5"), ("kd", "2:4:1"),
+                                            ("ki", "0.5:2.5:1")])
+    def test_sweep_rows_match_check_gains(self, name, spec, capsys):
+        assert main(["check-gains", "--sweep", name, spec]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
+        believed = nominal_from_true(build_plant(load_config(None)), 1.0)
+        constants = certificate.derived_constants(believed, 6.0)
+        i_max = believed.rolling_inertia
+        field = {"kp": "k_p", "kd": "k_d", "ki": "k_i"}[name]
+        start, stop, step = (float(v) for v in spec.split(":"))
+        assert len(rows) == round((stop - start) / step) + 1
+        for k, row in enumerate(rows):
+            value = start + k * step
+            report = certificate.check_gains(
+                replace(build_gains(load_config(None)), **{field: value}),
+                constants.delta, constants.mu, certificate.kappa_mid(constants),
+                mu_min=i_max - believed.inertia_dip, mu_max=i_max,
+            )
+            assert row == [f"{value:g}", f"{report.k_i_margin:.6g}",
+                           f"{report.k_p_margin:.6g}",
+                           f"{report.p_eigenvalues[0]:.6g}", str(report.passed)]
+
     def test_sweep_rejects_bad_range_argument(self, capsys):
         assert main(["check-gains", "--sweep", "kp", "1:2"]) == 2
         assert main(["check-gains", "--sweep", "kq", "1:2:1"]) == 2
+
+    @pytest.mark.parametrize("spec", [
+        "90:100:0", "90:100:-5", "90:100:nan", "nan:100:5", "90:nan:5",
+        "90:inf:5", "90:-inf:5", "90:100:inf", "0:10:5",
+    ])
+    def test_sweep_rejects_empty_or_endless_range(self, spec, capsys):
+        assert main(["check-gains", "--sweep", "kp", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("config error: bad sweep range")
 
 
 class TestEquilibriumCommand:
@@ -286,3 +324,52 @@ class TestSweepCommand:
         main(["sweep", "--count", "10", "--seed", "3", "--jobs", "2",
               "--out", str(parallel)])
         assert serial.read_bytes() == parallel.read_bytes()
+
+    @pytest.mark.parametrize("flags", [["--count", "0"], ["--count", "-4"],
+                                       ["--jobs", "0"], ["--jobs", "-1"]])
+    def test_rejects_count_or_jobs_below_one(self, flags, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("config error: --count and --jobs must be >= 1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_chunked_output_equals_per_triple_loop(self, jobs, tmp_path, capsys):
+        # one triple past a whole chunk, so the last chunk holds a single triple
+        count, seed = certificate.CHUNK + 1, 11
+        believed = nominal_from_true(build_plant(load_config(None)), 1.0)
+        constants = certificate.derived_constants(believed, 6.0)
+        kappa = certificate.kappa_mid(constants)
+        i_max = believed.rolling_inertia
+        i_min = i_max - believed.inertia_dip
+        rows = []
+        for g in certificate.admissible_gain_sample(count, seed, constants, kappa):
+            report = certificate.check_gains(
+                Gains(k_p=g.k_p, k_d=g.k_d, k_i=g.k_i), constants.delta, constants.mu,
+                kappa, r_const=1.0, mu_min=i_min, mu_max=i_max,
+            )
+            rows.append((
+                g.k_p, g.k_d, g.k_i, report.k_i_margin, report.k_p_margin,
+                report.p_eigenvalues[0], report.q_eigenvalues[0],
+                report.passed and report.p_positive_definite,
+            ))
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["k_p", "k_d", "k_i", "k_i_margin", "k_p_margin",
+                             "lambda_min_P", "lambda_min_Q", "certified"])
+            for row in rows:
+                writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--count", str(count), "--seed", str(seed),
+                     "--jobs", jobs, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert summary == (
+            f"swept {count} admissible gain triples (seed {seed}): "
+            f"{sum(1 for row in rows if row[-1])} certified, "
+            f"min lambda_min(P_s) = {min(row[5] for row in rows):.6g}"
+        )
