@@ -97,6 +97,15 @@ DEFAULTS: dict[str, dict[str, str]] = {
 
 SETTLING_BAND = 0.01  # |o_e| threshold for the settling-time summary metric
 
+# Plot-ready per-figure tables next to trajectory.csv: position against the
+# reference, and the three error series.
+FIGURES = (
+    ("fig_position.csv", ("t", "o", "o_ref")),
+    ("fig_tracking_error.csv", ("t", "o_e")),
+    ("fig_velocity_error.csv", ("t", "omega_e")),
+    ("fig_actuator_velocity.csv", ("t", "omega_a")),
+)
+
 
 class ConfigError(Exception):
     """Bad configuration file or value; maps to exit code 2."""
@@ -258,30 +267,6 @@ def write_manifest(
         out.write(fh)
 
 
-def _write_figure_files(out_dir: Path, traj: Trajectory, sim_cfg: SimConfig) -> list[Path]:
-    """Plot-ready per-figure CSVs: position vs reference and the three error series."""
-    ref_fn = sim_cfg.reference()
-    files = []
-
-    def dump(name: str, header: list[str], rows) -> None:
-        target = out_dir / name
-        with open(target, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([repr(v) for v in row])
-        files.append(target)
-
-    dump(
-        "fig_position.csv", ["t", "o", "o_ref"],
-        ((t, o, ref_fn(t).o_ref) for t, o in zip(traj.t, traj.o)),
-    )
-    dump("fig_tracking_error.csv", ["t", "o_e"], zip(traj.t, traj.o_e))
-    dump("fig_velocity_error.csv", ["t", "omega_e"], zip(traj.t, traj.omega_e))
-    dump("fig_actuator_velocity.csv", ["t", "omega_a"], zip(traj.t, traj.omega_a))
-    return files
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
@@ -290,15 +275,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         traj = integrate(sim_cfg)
+        summary = _summary(traj)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        exc.trajectory.write_csv(out_dir / "trajectory.csv")
-        write_manifest(out_dir / "manifest.ini", cfg)
-        return 1
-    summary = _summary(traj)
-    traj.write_csv(out_dir / "trajectory.csv")
+        traj, summary = exc.trajectory, None  # the partial run is written all the same
+    traj.write_csv(
+        out_dir / "trajectory.csv",
+        [(out_dir / name, columns) for name, columns in FIGURES],
+        sim_cfg.reference(),
+    )
     write_manifest(out_dir / "manifest.ini", cfg, summary)
-    _write_figure_files(out_dir, traj, sim_cfg)
+    if summary is None:
+        return 1
     print(
         f"scenario {sim_cfg.scenario}: {len(traj)} samples over {sim_cfg.t_end} s; "
         f"terminal |o_e| = {summary['terminal_o_e']:.3e} m, "

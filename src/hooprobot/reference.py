@@ -30,7 +30,8 @@ Reference = Callable[[float], ReferenceSample]
 
 def constant(o0: float) -> Reference:
     """Hold the hoop center at ``o0``."""
-    return lambda t: ReferenceSample(o0, 0.0, 0.0)
+    sample = ReferenceSample(o0, 0.0, 0.0)  # immutable, so one instance serves every t
+    return lambda t: sample
 
 
 def ramp(o0: float, v: float = DEFAULT_RAMP_SPEED) -> Reference:

@@ -23,6 +23,7 @@ them.
 from __future__ import annotations
 
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
@@ -40,6 +41,7 @@ from .regularizer import NominalParams
 DIVERGENCE_LIMIT = 1e6
 
 CSV_HEADER = "t,theta,o,omega,theta_a,omega_a,o_I,o_e,omega_e,tau_u,energy"
+CSV_CHUNK = 256  # rows per block of Trajectory.write_csv; bounds its string memory
 
 
 class DivergenceError(RuntimeError):
@@ -123,16 +125,37 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    def write_csv(self, path) -> None:
-        """Full-precision CSV export, fixed column set."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for row in zip(
-                self.t, self.theta, self.o, self.omega, self.theta_a,
-                self.omega_a, self.o_I, self.o_e, self.omega_e, self.tau_u,
-                self.energy,
-            ):
-                fh.write(",".join(repr(v) for v in row) + "\n")
+    def write_csv(self, path, figures=(), reference: Optional[Reference] = None) -> None:
+        """Full-precision CSV export of the fixed column set, LF line ends.
+
+        ``figures`` are more tables written in the same pass, each a
+        (path, columns) pair, with the CRLF line ends of ``csv.writer``.  A
+        column is a trajectory column or ``o_ref``, the position of
+        ``reference`` at each t.  Rows go out in blocks of ``CSV_CHUNK``;
+        within a block every column that any table needs is turned into
+        text once, by ``repr``, and each table's lines are joined from
+        those strings.
+        """
+        tables = [(path, CSV_HEADER.split(","), "\n")]
+        tables += [(target, columns, "\r\n") for target, columns in figures]
+        needed = list(dict.fromkeys(name for _, columns, _ in tables for name in columns))
+        with ExitStack() as stack:
+            sinks = []
+            for target, columns, end in tables:
+                fh = stack.enter_context(open(target, "w", encoding="utf-8", newline=""))
+                fh.write(",".join(columns) + end)
+                sinks.append((fh.writelines, ",".join(["{}"] * len(columns)) + end, columns))
+            for start in range(0, len(self.t), CSV_CHUNK):
+                rows = slice(start, start + CSV_CHUNK)
+                text = {}
+                for name in needed:
+                    if name == "o_ref":
+                        values = [reference(t).o_ref for t in self.t[rows]]
+                    else:
+                        values = getattr(self, name)[rows]
+                    text[name] = list(map(repr, values))
+                for writelines, line, columns in sinks:
+                    writelines(map(line.format, *(text[name] for name in columns)))
 
 
 def energy(p: PlantParams, s: HoopState) -> tuple[float, float]:

@@ -28,6 +28,33 @@ from hooprobot.regularizer import nominal_from_true
 from hooprobot.sim import Trajectory
 
 
+OUTPUT_FIGURES = {
+    "fig_position.csv": ["t", "o", "o_ref"],
+    "fig_tracking_error.csv": ["t", "o_e"],
+    "fig_velocity_error.csv": ["t", "omega_e"],
+    "fig_actuator_velocity.csv": ["t", "omega_a"],
+}
+
+
+def assert_figures_match_trajectory(out):
+    """Every figure row repeats its trajectory.csv fields as text; o_ref is
+    the repr of the run's reference position.  Returns the trajectory rows."""
+    with open(out / "trajectory.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    reference = build_sim_config(load_config(str(out / "manifest.ini"))).reference()
+    for name, header in OUTPUT_FIGURES.items():
+        with open(out / name, encoding="utf-8", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert table[0] == header, name
+        expected = [
+            [repr(reference(float(row["t"])).o_ref) if column == "o_ref" else row[column]
+             for column in header]
+            for row in rows
+        ]
+        assert table[1:] == expected, name
+    return rows
+
+
 class TestParseAngle:
     def test_plain_number_is_radians(self):
         assert parse_angle("0.5") == 0.5
@@ -156,8 +183,11 @@ class TestSimulateCommand:
                      "--seed", "7", "--out", str(first)]) == 0
         assert main(["simulate", "--config", str(first / "manifest.ini"),
                      "--out", str(second)]) == 0
-        for name in ("trajectory.csv", "manifest.ini"):
-            assert (first / name).read_bytes() == (second / name).read_bytes()
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(["trajectory.csv", "manifest.ini", *OUTPUT_FIGURES])
+        assert sorted(p.name for p in second.iterdir()) == names
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_manifest_contains_summary_and_normalized_values(self, tmp_path):
         out = tmp_path / "run"
@@ -174,6 +204,19 @@ class TestSimulateCommand:
         main(["simulate", "--t-end", "1", "--out", str(out)])
         assert (out / "fig_position.csv").read_text().splitlines()[0] == "t,o,o_ref"
         assert (out / "fig_tracking_error.csv").read_text().splitlines()[0] == "t,o_e"
+
+    def test_figure_rows_are_trajectory_fields(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", "--t-end", "1", "--stride", "3", "--scenario", "sinusoid",
+                     "--o-ref0", "0.4", "--out", str(out)]) == 0
+        assert_figures_match_trajectory(out)
+
+    def test_divergent_run_rewrites_figures_of_an_earlier_run(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", "--t-end", "1", "--out", str(out)]) == 0
+        assert main(["simulate", "--o0", "2e6", "--t-end", "1", "--out", str(out)]) == 1
+        rows = assert_figures_match_trajectory(out)
+        assert len(rows) == 1 and rows[0]["o"] == repr(2e6)
 
     def test_bad_config_value_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -1,5 +1,7 @@
 """Integrator behavior: configs, determinism, energy accounting, the oracle."""
+import csv
 import math
+import random
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hooprobot import controller, sim
+from hooprobot.cli import FIGURES
 from hooprobot.controller import ControllerState, Gains
 from hooprobot.plant import (
     HoopState,
@@ -18,6 +21,7 @@ from hooprobot.plant import (
 from hooprobot.reference import SCENARIOS, make_reference
 from hooprobot.regularizer import nominal_from_true
 from hooprobot.sim import (
+    CSV_CHUNK,
     CSV_HEADER,
     DivergenceError,
     SimConfig,
@@ -495,3 +499,89 @@ class TestTrajectoryCsv:
         target = tmp_path / "empty.csv"
         Trajectory().write_csv(target)
         assert target.read_text() == CSV_HEADER + "\n"
+
+
+def parent_write_csv(traj, path):
+    """The per-row writer ``Trajectory.write_csv`` replaced: one join per row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for row in zip(
+            traj.t, traj.theta, traj.o, traj.omega, traj.theta_a,
+            traj.omega_a, traj.o_I, traj.o_e, traj.omega_e, traj.tau_u,
+            traj.energy,
+        ):
+            fh.write(",".join(repr(v) for v in row) + "\n")
+
+
+def parent_write_figures(out_dir, traj, ref_fn):
+    """The csv.writer figure loop the one-pass writer replaced."""
+    def dump(name, header, rows):
+        with open(out_dir / name, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([repr(v) for v in row])
+
+    dump(
+        "fig_position.csv", ["t", "o", "o_ref"],
+        ((t, o, ref_fn(t).o_ref) for t, o in zip(traj.t, traj.o)),
+    )
+    dump("fig_tracking_error.csv", ["t", "o_e"], zip(traj.t, traj.o_e))
+    dump("fig_velocity_error.csv", ["t", "omega_e"], zip(traj.t, traj.omega_e))
+    dump("fig_actuator_velocity.csv", ["t", "omega_a"], zip(traj.t, traj.omega_a))
+
+
+def synthetic_trajectory(rows, seed=0):
+    """``rows`` samples on the 1 ms grid, other columns spread over 40 decades."""
+    rng = random.Random(seed)
+    traj = Trajectory()
+    for i in range(rows):
+        traj.t.append(i * 1e-3)
+        for column in TRAJECTORY_COLUMNS[1:]:
+            getattr(traj, column).append(rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20))
+    return traj
+
+
+REFERENCES = {
+    "fixed_point": make_reference("fixed_point", 0.7),
+    "ramp": make_reference("ramp", -1.3, v=0.25),
+    "sinusoid": make_reference("sinusoid", 0.4, amplitude=0.3, rate=0.5),
+}
+
+
+class TestOnePassWriter:
+    """``write_csv`` with the figure tables equals the two writers it replaced."""
+
+    def assert_matches_parent(self, traj, reference, tmp_path):
+        new, old = tmp_path / "new", tmp_path / "old"
+        new.mkdir()
+        old.mkdir()
+        traj.write_csv(
+            new / "trajectory.csv",
+            [(new / name, columns) for name, columns in FIGURES],
+            reference,
+        )
+        parent_write_csv(traj, old / "trajectory.csv")
+        parent_write_figures(old, traj, reference)
+        names = ["trajectory.csv", *(name for name, _ in FIGURES)]
+        assert sorted(p.name for p in new.iterdir()) == sorted(names)
+        for name in names:
+            assert (new / name).read_bytes() == (old / name).read_bytes(), name
+
+    @pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1])
+    @pytest.mark.parametrize("scenario", ["ramp", "sinusoid"])
+    def test_bytes_equal_at_block_edges(self, rows, scenario, tmp_path):
+        self.assert_matches_parent(synthetic_trajectory(rows), REFERENCES[scenario], tmp_path)
+
+    @pytest.mark.parametrize("scenario", ["fixed_point", "ramp"])
+    def test_bytes_equal_on_extreme_floats(self, scenario, tmp_path):
+        specials = [-0.0, 1e-300, 1e300, math.inf, -math.inf, math.nan, 5e-324]
+        traj = Trajectory()
+        for i in range(2 * len(specials)):
+            for k, column in enumerate(TRAJECTORY_COLUMNS):
+                getattr(traj, column).append(specials[(i + k) % len(specials)])
+        self.assert_matches_parent(traj, REFERENCES[scenario], tmp_path)
+
+    def test_bytes_equal_on_integrated_run(self, tmp_path):
+        cfg = make_config(scenario="sinusoid", o_ref0=0.4, feedforward=True, t_end=1.0, stride=1)
+        self.assert_matches_parent(integrate(cfg), cfg.reference(), tmp_path)
