@@ -42,20 +42,6 @@ class Gains:
             raise ValueError(f"k_c must be finite, got {self.k_c!r}")
 
 
-@dataclass
-class ControllerState:
-    """Mutable controller memory: the transported integrator plus torque logs."""
-
-    o_I: float = 0.0
-    last_pid_torque: float = 0.0
-    last_torque: float = 0.0
-
-    def reset(self) -> None:
-        self.o_I = 0.0
-        self.last_pid_torque = 0.0
-        self.last_torque = 0.0
-
-
 def error(s: HoopState, ref: ReferenceSample, r: float) -> tuple[float, float, float]:
     """Tracking errors (o_e, omega_e, eta_e) against a reference sample.
 
@@ -102,18 +88,16 @@ def step(
     g: Gains,
     s: HoopState,
     ref: ReferenceSample,
-    cs: ControllerState,
-) -> tuple[float, float]:
-    """One control evaluation: returns (plant torque, integrator rate).
+    o_I: float,
+) -> tuple[float, float, float]:
+    """One control evaluation at integrator value ``o_I``: returns
+    (plant torque, PID torque before regularization, integrator rate).
 
     Composes the error computation, the PID law and the regularizing
-    transformation, reading the integrator value from ``cs`` and recording
-    the produced torques there for logging.  The integrator rate is returned
-    for the caller to advance alongside the plant state.
+    transformation.  The integrator rate is returned for the caller to
+    advance alongside the plant state.
     """
     o_e, omega_e, eta_e = error(s, ref, n.r)
-    tilde = pid(n, g, s.theta_a, eta_e, omega_e, cs.o_I)
+    tilde = pid(n, g, s.theta_a, eta_e, omega_e, o_I)
     tau_u = regularize(n, s.theta_a, s.omega_a, omega_e, tilde)
-    cs.last_pid_torque = tilde
-    cs.last_torque = tau_u
-    return tau_u, integrator_rate(n, s.theta_a, s.omega_a, cs.o_I, eta_e)
+    return tau_u, tilde, integrator_rate(n, s.theta_a, s.omega_a, o_I, eta_e)

@@ -27,6 +27,10 @@ class ReferenceSample(NamedTuple):
 
 Reference = Callable[[float], ReferenceSample]
 
+# Builds a sample from a ready tuple, skipping the Python-level __new__ of
+# the named tuple; the samplers below run several times per RK4 step.
+_sample = tuple.__new__
+
 
 def constant(o0: float) -> Reference:
     """Hold the hoop center at ``o0``."""
@@ -36,7 +40,7 @@ def constant(o0: float) -> Reference:
 
 def ramp(o0: float, v: float = DEFAULT_RAMP_SPEED) -> Reference:
     """Constant-velocity reference starting from ``o0``."""
-    return lambda t: ReferenceSample(o0 + v * t, v, 0.0)
+    return lambda t: _sample(ReferenceSample, (o0 + v * t, v, 0.0))
 
 
 def sinusoid(
@@ -51,11 +55,19 @@ def sinusoid(
     """
     if not rate > 0.0:
         raise ValueError(f"sinusoid rate must be positive, got {rate!r}")
-    return lambda t: ReferenceSample(
-        o0 + amplitude * (1.0 - math.cos(rate * t)) / rate,
-        amplitude * math.sin(rate * t),
-        amplitude * rate * math.cos(rate * t),
-    )
+    cos, sin = math.cos, math.sin
+    amplitude_rate = amplitude * rate
+
+    def sample(t: float) -> ReferenceSample:
+        phase = rate * t
+        cos_phase = cos(phase)
+        return _sample(ReferenceSample, (
+            o0 + amplitude * (1.0 - cos_phase) / rate,
+            amplitude * sin(phase),
+            amplitude_rate * cos_phase,
+        ))
+
+    return sample
 
 
 def make_reference(scenario: str, o0: float = 0.0, **params: float) -> Reference:

@@ -17,7 +17,9 @@ reference and its test oracle.
 The energy and Lagrangian-oracle routines are deliberately built from the
 frame geometry rather than the closed-form reduced equations, so they can
 catch sign and wiring mistakes in the plant module instead of inheriting
-them.
+them.  ``integrate`` records the energy with ``energy``'s expressions and
+their constant prefixes read once per run, so ``energy`` is the oracle of
+the recorded column as well.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .plant import (
     SingularCouplingError,
     coupling_gain,
 )
-from .reference import SCENARIOS, Reference, make_reference
+from .reference import SCENARIOS, Reference, ReferenceSample, make_reference
 from .regularizer import NominalParams
 
 DIVERGENCE_LIMIT = 1e6
@@ -98,6 +100,15 @@ class SimConfig:
             raise ValueError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
         if self.hold_dt is not None and not (math.isfinite(self.hold_dt) and self.hold_dt > 0.0):
             raise ValueError(f"hold_dt must be positive when set, got {self.hold_dt!r}")
+        for name in ("o_ref0", "ramp_v", "sin_amplitude", "sin_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("theta", "o", "omega", "theta_a", "omega_a"):
+            if not math.isfinite(getattr(self.initial, name)):
+                raise ValueError(
+                    f"initial {name} must be finite, got {getattr(self.initial, name)!r}"
+                )
+        self.reference()  # the scenario's own checks (a sinusoid rate > 0) run now
 
     def reference(self) -> Reference:
         params = {key: getattr(self, name) for key, name in _SCENARIO_PARAMS[self.scenario]}
@@ -274,15 +285,15 @@ def lagrangian_oracle(
     return omega_dot + p.delta_s / inertia, omega_a_dot + p.delta_a / inertia
 
 
-def closed_loop(
-    cfg: SimConfig, reference: Reference
-) -> Callable[[float, tuple, Optional[tuple]], tuple]:
+def closed_loop(cfg: SimConfig) -> Callable[[ReferenceSample, tuple, Optional[tuple]], tuple]:
     """The closed-loop right-hand side of ``cfg`` as one fused stage function.
 
-    Returns ``stage(t, y, held) -> (rates, tau_u, tilde_tau_u)``.  ``y`` is
-    the augmented state (theta, o, omega, theta_a, omega_a, o_I) and
+    Returns ``stage(ref, y, held) -> (rates, tau_u, tilde_tau_u)``.  ``ref``
+    is the ``ReferenceSample`` at the stage time, drawn by the caller from
+    ``cfg.reference()``, so stages at one time can share one sample.  ``y``
+    is the augmented state (theta, o, omega, theta_a, omega_a, o_I) and
     ``rates`` its six time derivatives.  With ``held`` None the stage
-    computes the control torque at (t, y) and returns it next to the PID
+    computes the control torque at (ref, y) and returns it next to the PID
     torque before regularization (both including feedforward, when set).
     In hold mode ``held`` is the (tau_u, tilde_tau_u) pair frozen at the
     last sampling instant: the plant takes that torque, only the
@@ -291,8 +302,8 @@ def closed_loop(
 
     This is ``controller.step`` (error, PID, ``regularize``,
     ``integrator_rate``) followed by ``plant.derivative``, with the
-    parameter constants read once per run and cos, sin, sin 2 of theta_a,
-    sin(theta_a + beta) and the reference sampled once per stage.  Every
+    parameter constants read once per run and cos, sin, sin 2 of theta_a and
+    sin(theta_a + beta) computed once per stage.  Every
     expression keeps the operand order of those functions, and a constant
     is hoisted only where it is a left-to-right prefix of one, so the rates
     and torques equal the modular composition bit for bit; the tests hold
@@ -317,7 +328,7 @@ def closed_loop(
     shaping = n.m_a**2 * n.r * n.l**2 * n.g / (2.0 * n.pendulum_inertia)
     k_p, k_d, k_i = g.k_p, g.k_d, g.k_i
 
-    def stage(t: float, y: tuple, held: Optional[tuple]) -> tuple:
+    def stage(ref: ReferenceSample, y: tuple, held: Optional[tuple]) -> tuple:
         theta, o, omega, theta_a, omega_a, o_i = y
         cos_a = cos(theta_a)
         sin_a = sin(theta_a)
@@ -326,13 +337,13 @@ def closed_loop(
         if open_loop:
             tau_u = tilde = o_i_rate = 0.0
         else:
-            ref = reference(t)
-            eta_e = -(o - ref.o_ref)
+            o_ref, o_dot_ref, o_ddot_ref = ref
+            eta_e = -(o - o_ref)
             n_inertia = n_rolling - n_dip * cos_a**2
             slope = n_dip * sin_2a
             o_i_rate = eta_e - slope / (2.0 * n_inertia) * omega_a * o_i
             if held is None:
-                omega_e = omega + ref.o_dot_ref / n_r
+                omega_e = omega + o_dot_ref / n_r
                 tilde = -n_inertia * (k_p * eta_e + k_d * omega_e + k_i * o_i)
                 tau_u = (
                     -(0.5 * slope * omega_a * omega_e)
@@ -341,7 +352,7 @@ def closed_loop(
                     + tilde
                 )
                 if feedforward:
-                    tau_ref = n_inertia * (-ref.o_ddot_ref / n_r)
+                    tau_ref = n_inertia * (-o_ddot_ref / n_r)
                     tau_u += tau_ref
                     tilde += tau_ref
             else:
@@ -378,10 +389,16 @@ def integrate(cfg: SimConfig) -> Trajectory:
     the control torque is recomputed every ``hold_dt`` and frozen in between,
     while the integrator state keeps its continuous dynamics; by default the
     torque follows the stage states exactly.
+
+    Each RK4 step samples the reference once per distinct time: the sample
+    at t serves k1 and the recorded row, the one at t + dt/2 serves k2 and
+    k3, the one at t + dt serves k4.  A recorded row takes its energy from
+    the plant constants read once per run; ``energy`` is its oracle, equal
+    bit for bit.
     """
     p, n = cfg.plant, cfg.nominal
     reference = cfg.reference()
-    stage = closed_loop(cfg, reference)
+    stage = closed_loop(cfg)
     dt = cfg.dt
     steps = int(round(cfg.t_end / dt))
     stride = cfg.stride
@@ -390,24 +407,46 @@ def integrate(cfg: SimConfig) -> Trajectory:
     hold_steps = max(1, int(round(cfg.hold_dt / dt))) if hold else None
 
     traj = Trajectory()
+    (put_t, put_theta, put_o, put_omega, put_theta_a, put_omega_a, put_o_i, put_o_e,
+     put_omega_e, put_tau_u, put_tilde, put_energy) = (column.append for column in (
+        traj.t, traj.theta, traj.o, traj.omega, traj.theta_a, traj.omega_a, traj.o_I,
+        traj.o_e, traj.omega_e, traj.tau_u, traj.tilde_tau_u, traj.energy))
+    # the left-to-right constant prefixes of energy()'s expressions
+    sin, cos = math.sin, math.cos
+    n_r, neg_r, l, beta = n.r, -p.r, p.l, p.beta
+    half_rolling = 0.5 * (p.i_h + p.m_h * p.r**2)
+    half_m_a = 0.5 * p.m_a
+    half_i_a = 0.5 * p.i_a
+    sin_beta = sin(p.beta)
+    r_cos_beta = p.r * cos(p.beta)
+    weight = p.m_total * p.g
+    hang = p.m_a * p.g * p.l
 
-    def record(t: float, y: tuple, tau_u: float, tilde_tau_u: float) -> None:
+    def record(
+        t: float, ref: ReferenceSample, y: tuple, tau_u: float, tilde_tau_u: float
+    ) -> None:
         """Append one sample with the torques in force at (t, y)."""
         theta, o, omega, theta_a, omega_a, o_i = y
-        ref = reference(t)
-        ke, pe = energy(p, HoopState(theta, o, omega, theta_a, omega_a))
-        traj.t.append(t)
-        traj.theta.append(theta)
-        traj.o.append(o)
-        traj.omega.append(omega)
-        traj.theta_a.append(theta_a)
-        traj.omega_a.append(omega_a)
-        traj.o_I.append(o_i)
-        traj.o_e.append(o - ref.o_ref)
-        traj.omega_e.append(omega + ref.o_dot_ref / n.r)
-        traj.tau_u.append(tau_u)
-        traj.tilde_tau_u.append(tilde_tau_u)
-        traj.energy.append(ke + pe)
+        v_x = neg_r * omega + l * omega_a * cos(theta_a)
+        v_y = l * omega_a * sin(theta_a)
+        ke = (
+            half_rolling * omega**2
+            + half_m_a * (v_x**2 + v_y**2)
+            + half_i_a * omega_a**2
+        )
+        pe = weight * (o * sin_beta + r_cos_beta) - hang * cos(theta_a + beta)
+        put_t(t)
+        put_theta(theta)
+        put_o(o)
+        put_omega(omega)
+        put_theta_a(theta_a)
+        put_omega_a(omega_a)
+        put_o_i(o_i)
+        put_o_e(o - ref.o_ref)
+        put_omega_e(omega + ref.o_dot_ref / n_r)
+        put_tau_u(tau_u)
+        put_tilde(tilde_tau_u)
+        put_energy(ke + pe)
 
     y = (
         cfg.initial.theta, cfg.initial.o, cfg.initial.omega,
@@ -419,29 +458,31 @@ def integrate(cfg: SimConfig) -> Trajectory:
     limit = DIVERGENCE_LIMIT
     for i in range(steps + 1):
         t = i * dt
+        ref = reference(t)
         if hold_steps is not None and i % hold_steps == 0:
             held = None  # sample a fresh torque at this instant
         if i < steps:
-            k1, tau_u, tilde_tau_u = stage(t, y, held)
+            k1, tau_u, tilde_tau_u = stage(ref, y, held)
             if hold_steps is not None:
                 held = (tau_u, tilde_tau_u)
         elif i % stride == 0 and held is None:
-            _, tau_u, tilde_tau_u = stage(t, y, None)  # no k1 at the last sample
+            _, tau_u, tilde_tau_u = stage(ref, y, None)  # no k1 at the last sample
         if i % stride == 0:
-            record(t, y, tau_u, tilde_tau_u)
+            record(t, ref, y, tau_u, tilde_tau_u)
         if i == steps:
             break
+        ref = reference(t + half)
         theta, o, omega, theta_a, omega_a, o_i = y
         k1_th, k1_o, k1_w, k1_qa, k1_wa, k1_oi = k1
-        (k2_th, k2_o, k2_w, k2_qa, k2_wa, k2_oi), _, _ = stage(t + half, (
+        (k2_th, k2_o, k2_w, k2_qa, k2_wa, k2_oi), _, _ = stage(ref, (
             theta + half * k1_th, o + half * k1_o, omega + half * k1_w,
             theta_a + half * k1_qa, omega_a + half * k1_wa, o_i + half * k1_oi,
         ), held)
-        (k3_th, k3_o, k3_w, k3_qa, k3_wa, k3_oi), _, _ = stage(t + half, (
+        (k3_th, k3_o, k3_w, k3_qa, k3_wa, k3_oi), _, _ = stage(ref, (
             theta + half * k2_th, o + half * k2_o, omega + half * k2_w,
             theta_a + half * k2_qa, omega_a + half * k2_wa, o_i + half * k2_oi,
         ), held)
-        (k4_th, k4_o, k4_w, k4_qa, k4_wa, k4_oi), _, _ = stage(t + dt, (
+        (k4_th, k4_o, k4_w, k4_qa, k4_wa, k4_oi), _, _ = stage(reference(t + dt), (
             theta + dt * k3_th, o + dt * k3_o, omega + dt * k3_w,
             theta_a + dt * k3_qa, omega_a + dt * k3_wa, o_i + dt * k3_oi,
         ), held)

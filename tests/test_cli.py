@@ -223,6 +223,24 @@ class TestSimulateCommand:
         assert main(["simulate", "--dt", "0", "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--scenario", "sinusoid", "--sin-rate", "0"],
+        ["--o-ref0", "nan"],
+        ["--o0", "nan"],
+        ["--ramp-v", "inf"],
+        ["--sin-rate", "inf"],
+        ["--sin-amplitude", "nan"],
+        ["--o-ref0", "nan", "--open-loop"],
+    ])
+    def test_bad_reference_or_start_exits_two_before_writing(self, flags, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["simulate", *flags, "--t-end", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_divergent_run_exits_one_with_partial_csv(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(["simulate", "--o0", "2e6", "--t-end", "1", "--out", str(out)])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hooprobot.controller import ControllerState, Gains, error, integrator_rate, pid, step
+from hooprobot.controller import Gains, error, integrator_rate, pid, step
 from hooprobot.geometry import christoffel
 from hooprobot.plant import HoopState, PlantParams, inertia_field
 from hooprobot.reference import ReferenceSample, make_reference
@@ -37,8 +37,8 @@ class TestGains:
         b = Gains(k_p=16.0, k_d=7.0, k_i=4.0, k_c=99.0)
         s = HoopState(theta=0.2, o=-1.0, omega=0.3, theta_a=0.5, omega_a=-0.7)
         ref = ReferenceSample(0.5, 0.1, 0.0)
-        out_a = step(BELIEVED, a, s, ref, ControllerState())
-        out_b = step(BELIEVED, b, s, ref, ControllerState())
+        out_a = step(BELIEVED, a, s, ref, 0.3)
+        out_b = step(BELIEVED, b, s, ref, 0.3)
         assert out_a == out_b
 
 
@@ -164,43 +164,24 @@ class TestStep:
                 omega_a=float(rng.uniform(-3, 3)),
             )
             ref = ReferenceSample(*(float(v) for v in rng.uniform(-1, 1, size=3)))
-            cs = ControllerState()
-            cs.o_I = float(rng.uniform(-2, 2))
+            o_i = float(rng.uniform(-2, 2))
 
             o_e, omega_e, eta_e = error(s, ref, BELIEVED.r)
-            tilde = pid(BELIEVED, GAINS, s.theta_a, eta_e, omega_e, cs.o_I)
-            want_tau = regularize(BELIEVED, s.theta_a, s.omega_a, omega_e, tilde)
-            want_rate = integrator_rate(BELIEVED, s.theta_a, s.omega_a, cs.o_I, eta_e)
+            want_tilde = pid(BELIEVED, GAINS, s.theta_a, eta_e, omega_e, o_i)
+            want_tau = regularize(BELIEVED, s.theta_a, s.omega_a, omega_e, want_tilde)
+            want_rate = integrator_rate(BELIEVED, s.theta_a, s.omega_a, o_i, eta_e)
 
-            tau_u, o_i_rate = step(BELIEVED, GAINS, s, ref, cs)
-            assert tau_u == want_tau
-            assert o_i_rate == want_rate
-            assert cs.last_pid_torque == tilde
-            assert cs.last_torque == tau_u
+            assert step(BELIEVED, GAINS, s, ref, o_i) == (want_tau, want_tilde, want_rate)
 
     def test_quiescent_at_origin(self):
         s = HoopState(theta=0.0, o=0.0, omega=0.0, theta_a=0.0, omega_a=0.0)
-        tau_u, o_i_rate = step(BELIEVED, GAINS, s, ReferenceSample(0.0, 0.0, 0.0),
-                               ControllerState())
-        assert tau_u == 0.0
-        assert o_i_rate == 0.0
+        assert step(BELIEVED, GAINS, s, ReferenceSample(0.0, 0.0, 0.0), 0.0) == (0.0, 0.0, 0.0)
 
     def test_translation_invariance(self):
         # shifting the world position of both plant and reference by the same
         # amount must not change the torque at all
-        cs1, cs2 = ControllerState(), ControllerState()
-        cs1.o_I = cs2.o_I = 0.8
         s1 = HoopState(theta=0.1, o=-2.0, omega=0.4, theta_a=0.6, omega_a=-1.0)
         s2 = HoopState(theta=0.1, o=8.0, omega=0.4, theta_a=0.6, omega_a=-1.0)
-        out1 = step(BELIEVED, GAINS, s1, ReferenceSample(1.0, 0.2, 0.0), cs1)
-        out2 = step(BELIEVED, GAINS, s2, ReferenceSample(11.0, 0.2, 0.0), cs2)
+        out1 = step(BELIEVED, GAINS, s1, ReferenceSample(1.0, 0.2, 0.0), 0.8)
+        out2 = step(BELIEVED, GAINS, s2, ReferenceSample(11.0, 0.2, 0.0), 0.8)
         assert out1 == out2
-
-
-def test_controller_state_reset():
-    cs = ControllerState()
-    cs.o_I = 3.0
-    cs.last_pid_torque = -1.0
-    cs.last_torque = 2.0
-    cs.reset()
-    assert (cs.o_I, cs.last_pid_torque, cs.last_torque) == (0.0, 0.0, 0.0)

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hooprobot.reference import (
     DEFAULT_RAMP_SPEED,
     DEFAULT_SIN_AMPLITUDE,
     DEFAULT_SIN_RATE,
     SCENARIOS,
+    ReferenceSample,
     constant,
     make_reference,
     ramp,
@@ -59,6 +61,36 @@ def test_sinusoid_velocity_profile():
     # velocity is periodic with period 2 pi / rate
     period = 2.0 * math.pi / 0.5
     assert ref(t + period).o_dot_ref == pytest.approx(ref(t).o_dot_ref, rel=1e-12)
+
+
+def plain_ramp(o0, v):
+    """The ramp as first written, through the named tuple's constructor."""
+    return lambda t: ReferenceSample(o0 + v * t, v, 0.0)
+
+
+def plain_sinusoid(o0, amplitude, rate):
+    """The sinusoid as first written: three trig calls per sample."""
+    return lambda t: ReferenceSample(
+        o0 + amplitude * (1.0 - math.cos(rate * t)) / rate,
+        amplitude * math.sin(rate * t),
+        amplitude * rate * math.cos(rate * t),
+    )
+
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(o0=finite(-5.0, 5.0), v=finite(-2.0, 2.0), amplitude=finite(-2.0, 2.0),
+       rate=finite(1e-3, 20.0), t=finite(0.0, 200.0))
+def test_samples_equal_the_plain_constructions_bitwise(o0, v, amplitude, rate, t):
+    for built, plain in ((ramp(o0, v), plain_ramp(o0, v)),
+                         (sinusoid(o0, amplitude, rate), plain_sinusoid(o0, amplitude, rate))):
+        sample, want = built(t), plain(t)
+        assert type(sample) is ReferenceSample
+        assert [x.hex() for x in sample] == [x.hex() for x in want]
+        assert (sample.o_ref, sample.o_dot_ref, sample.o_ddot_ref) == tuple(want)
 
 
 def test_sinusoid_rejects_bad_rate():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hooprobot import controller, sim
 from hooprobot.cli import FIGURES
-from hooprobot.controller import ControllerState, Gains
+from hooprobot.controller import Gains
 from hooprobot.plant import (
     HoopState,
     PlantParams,
@@ -65,6 +65,25 @@ class TestSimConfig:
         assert cfg.reference()(2.0).o_ref == pytest.approx(1.8)
         cfg = make_config(scenario="sinusoid", sin_amplitude=0.2, sin_rate=0.8)
         assert cfg.reference()(0.0).o_ddot_ref == pytest.approx(0.16)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["o_ref0", "ramp_v", "sin_amplitude", "sin_rate"])
+    def test_rejects_non_finite_reference_parameter(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make_config(**{name: value})
+
+    @pytest.mark.parametrize("name", ["theta", "o", "omega", "theta_a", "omega_a"])
+    def test_rejects_non_finite_initial_state(self, name):
+        values = dict(theta=0.0, o=-2.0, omega=-0.1, theta_a=0.0, omega_a=0.1)
+        values[name] = math.nan
+        with pytest.raises(ValueError, match=f"initial {name} must be finite"):
+            make_config(initial=HoopState(**values))
+
+    @pytest.mark.parametrize("rate", [0.0, -0.5])
+    def test_scenario_rules_run_at_construction(self, rate):
+        with pytest.raises(ValueError, match="sinusoid rate must be positive"):
+            make_config(scenario="sinusoid", sin_rate=rate)
+        make_config(scenario="ramp", sin_rate=rate)  # only the sinusoid reads the rate
 
 
 class TestEnergy:
@@ -240,19 +259,50 @@ class TestControllerEvaluations:
         calls = []
         build = sim.closed_loop
 
-        def counting_closed_loop(cfg, reference):
-            stage = build(cfg, reference)
+        def counting_closed_loop(cfg):
+            stage = build(cfg)
 
-            def counted(t, y, held):
+            def counted(ref, y, held):
                 if held is None:  # the stage computes a torque only when none is held
-                    calls.append(t)
-                return stage(t, y, held)
+                    calls.append(ref)
+                return stage(ref, y, held)
 
             return counted
 
         monkeypatch.setattr(sim, "closed_loop", counting_closed_loop)
         integrate(make_config(t_end=1.0, hold_dt=hold_dt))
         assert len(calls) == expected
+
+    @pytest.mark.parametrize("hold_dt", [None, 0.01])
+    def test_reference_is_sampled_once_per_distinct_stage_time(self, monkeypatch, hold_dt):
+        cfg = make_config(scenario="sinusoid", feedforward=True, t_end=1.0, stride=1,
+                          hold_dt=hold_dt)
+        times = []
+        build = SimConfig.reference
+
+        def counting_reference(self):
+            reference = build(self)
+
+            def counted(t):
+                times.append(t)
+                return reference(t)
+
+            return counted
+
+        monkeypatch.setattr(SimConfig, "reference", counting_reference)
+        integrate(cfg)
+        assert len(times) == 3 * 1000 + 1
+        # k1 and the row at t, k2 and k3 at t + dt/2, k4 at t + dt; then the last row
+        dt = cfg.dt
+        expected = [v for i in range(1000) for v in (i * dt, i * dt + dt / 2.0, i * dt + dt)]
+        assert times == expected + [1000 * dt]
+
+    def test_recorded_energy_does_not_call_energy(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("integrate called sim.energy")
+
+        monkeypatch.setattr(sim, "energy", refuse)
+        assert len(integrate(make_config(t_end=1.0, stride=1))) == 1001
 
     def test_recorded_torque_is_the_torque_at_the_recorded_state(self):
         cfg = make_config(t_end=1.0)
@@ -261,9 +311,8 @@ class TestControllerEvaluations:
         for i in (0, 37, len(traj) - 1):
             s = HoopState(traj.theta[i], traj.o[i], traj.omega[i],
                           traj.theta_a[i], traj.omega_a[i])
-            cs = ControllerState(o_I=traj.o_I[i])
-            tau_u, _ = controller.step(cfg.nominal, GAINS, s, ref(traj.t[i]), cs)
-            assert (traj.tau_u[i], traj.tilde_tau_u[i]) == (tau_u, cs.last_pid_torque)
+            tau_u, tilde, _ = controller.step(cfg.nominal, GAINS, s, ref(traj.t[i]), traj.o_I[i])
+            assert (traj.tau_u[i], traj.tilde_tau_u[i]) == (tau_u, tilde)
 
 
 # -- the fused stage against the modular composition -------------------------
@@ -273,81 +322,80 @@ def bits(values):
     return tuple(float(v).hex() for v in values)
 
 
-def modular_torque(cfg, ref_fn, cs, t, y):
-    """Torque and integrator rate from ``controller.step`` (plus feedforward),
-    logging the torques in ``cs``; zero for an open loop."""
+def modular_torque(cfg, ref_fn, t, y):
+    """Torque, PID torque and integrator rate from ``controller.step`` (plus
+    feedforward in both torques); zeros for an open loop."""
     if cfg.open_loop:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.0
     n = cfg.nominal
     s = HoopState(*y[:5])
     ref = ref_fn(t)
-    cs.o_I = y[5]
-    tau_u, o_i_rate = controller.step(n, cfg.gains, s, ref, cs)
+    tau_u, tilde, o_i_rate = controller.step(n, cfg.gains, s, ref, y[5])
     if cfg.feedforward:
         tau_ref = n.inertia(s.theta_a) * (-ref.o_ddot_ref / n.r)
         tau_u += tau_ref
-        cs.last_pid_torque += tau_ref
-        cs.last_torque = tau_u
-    return tau_u, o_i_rate
+        tilde += tau_ref
+    return tau_u, tilde, o_i_rate
 
 
-def modular_rates(cfg, ref_fn, cs, t, y, held_tau):
-    """Six closed-loop rates: ``plant.derivative`` at the computed torque, or
-    at the held one with only the integrator rate evaluated."""
+def modular_rates(cfg, ref_fn, t, y, held):
+    """Six closed-loop rates and the (tau_u, tilde_tau_u) pair in force:
+    ``plant.derivative`` at the computed torque, or at the held pair with
+    only the integrator rate evaluated."""
     n = cfg.nominal
     s = HoopState(*y[:5])
-    if held_tau is None:
-        tau_u, o_i_rate = modular_torque(cfg, ref_fn, cs, t, y)
+    if held is None:
+        tau_u, tilde, o_i_rate = modular_torque(cfg, ref_fn, t, y)
     else:
         eta_e = controller.error(s, ref_fn(t), n.r)[2]
-        tau_u = held_tau
+        tau_u, tilde = held
         o_i_rate = controller.integrator_rate(n, y[3], y[4], y[5], eta_e)
-    return derivative(cfg.plant, s, tau_u) + (o_i_rate,)
+    return derivative(cfg.plant, s, tau_u) + (o_i_rate,), (tau_u, tilde)
 
 
 def modular_integrate(cfg):
-    """RK4 over the modular composition, one ``ControllerState`` and tuples:
-    the loop ``integrate`` ran before the stage was fused."""
+    """RK4 over the modular composition with tuples, sampling the reference
+    at every stage and taking the energy from ``energy``: the loop
+    ``integrate`` ran before the stage was fused."""
     ref_fn = cfg.reference()
-    cs = ControllerState()
     n, dt = cfg.nominal, cfg.dt
     steps = int(round(cfg.t_end / dt))
     hold = cfg.hold_dt is not None and not cfg.open_loop
     hold_steps = max(1, int(round(cfg.hold_dt / dt))) if hold else None
     traj = Trajectory()
 
-    def record(t, y):
+    def record(t, y, torques):
         s = HoopState(*y[:5])
         o_e, omega_e, _ = controller.error(s, ref_fn(t), n.r)
         ke, pe = energy(cfg.plant, s)
         for column, value in zip(
             ("t", "theta", "o", "omega", "theta_a", "omega_a", "o_I", "o_e",
              "omega_e", "tau_u", "tilde_tau_u", "energy"),
-            (t, *y, o_e, omega_e, cs.last_torque, cs.last_pid_torque, ke + pe),
+            (t, *y, o_e, omega_e, *torques, ke + pe),
         ):
             getattr(traj, column).append(value)
 
     y = (cfg.initial.theta, cfg.initial.o, cfg.initial.omega,
          cfg.initial.theta_a, cfg.initial.omega_a, 0.0)
-    held_tau = None
+    held = None
     for i in range(steps + 1):
         t = i * dt
         if hold_steps is not None and i % hold_steps == 0:
-            held_tau = modular_torque(cfg, ref_fn, cs, t, y)[0]
+            held = torques = modular_torque(cfg, ref_fn, t, y)[:2]
         if i < steps:
-            k1 = modular_rates(cfg, ref_fn, cs, t, y, held_tau)
-        elif i % cfg.stride == 0 and held_tau is None:
-            modular_torque(cfg, ref_fn, cs, t, y)
+            k1, torques = modular_rates(cfg, ref_fn, t, y, held)
+        elif i % cfg.stride == 0 and held is None:
+            torques = modular_torque(cfg, ref_fn, t, y)[:2]
         if i % cfg.stride == 0:
-            record(t, y)
+            record(t, y, torques)
         if i == steps:
             break
         y2 = tuple(y[j] + dt / 2.0 * k1[j] for j in range(6))
-        k2 = modular_rates(cfg, ref_fn, cs, t + dt / 2.0, y2, held_tau)
+        k2 = modular_rates(cfg, ref_fn, t + dt / 2.0, y2, held)[0]
         y3 = tuple(y[j] + dt / 2.0 * k2[j] for j in range(6))
-        k3 = modular_rates(cfg, ref_fn, cs, t + dt / 2.0, y3, held_tau)
+        k3 = modular_rates(cfg, ref_fn, t + dt / 2.0, y3, held)[0]
         y4 = tuple(y[j] + dt * k3[j] for j in range(6))
-        k4 = modular_rates(cfg, ref_fn, cs, t + dt, y4, held_tau)
+        k4 = modular_rates(cfg, ref_fn, t + dt, y4, held)[0]
         y_next = tuple(
             y[j] + dt / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
             for j in range(6)
@@ -376,38 +424,73 @@ ORACLE_CONFIGS = {
 }
 
 
-@st.composite
-def stage_cases(draw):
-    """A valid plant, a belief, gains, a scenario, a state and a held torque."""
-    unit = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
-    r = draw(unit(0.1, 0.5))
-    l = r * draw(unit(0.1, 0.95))
-    m_a = draw(unit(0.3, 5.0))
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def draw_config(draw, **run):
+    """A valid plant, a belief, gains and a scenario with non-zero offset,
+    ramp speed and sinusoid, feedforward and open loop drawn; ``run`` sets
+    the remaining ``SimConfig`` fields."""
+    r = draw(finite(0.1, 0.5))
+    l = r * draw(finite(0.1, 0.95))
+    m_a = draw(finite(0.3, 5.0))
     # i_a above m_a l (r - l) keeps the pendulum inertia above the coupling amplitude
-    i_a = m_a * l * (r - l) * draw(unit(1.01, 4.0))
+    i_a = m_a * l * (r - l) * draw(finite(1.01, 4.0))
     plant = PlantParams(
-        m_h=draw(unit(0.2, 5.0)), i_h=draw(unit(0.005, 0.1)), r=r, m_a=m_a, i_a=i_a,
-        l=l, beta=draw(unit(-0.6, 0.6)), g=draw(st.sampled_from([9.81, 0.0])),
-        delta_s=draw(unit(-0.3, 0.3)), delta_a=draw(unit(-0.3, 0.3)),
+        m_h=draw(finite(0.2, 5.0)), i_h=draw(finite(0.005, 0.1)), r=r, m_a=m_a, i_a=i_a,
+        l=l, beta=draw(finite(-0.6, 0.6)), g=draw(st.sampled_from([9.81, 0.0])),
+        delta_s=draw(finite(-0.3, 0.3)), delta_a=draw(finite(-0.3, 0.3)),
     )
-    cfg = SimConfig(
+    nonzero = lambda hi: finite(-hi, -0.01) | finite(0.01, hi)
+    return SimConfig(
         plant=plant,
-        nominal=nominal_from_true(plant, draw(unit(0.5, 1.5))),
-        gains=Gains(k_p=draw(unit(0.1, 150.0)), k_d=draw(unit(0.1, 20.0)),
-                    k_i=draw(unit(0.1, 10.0))),
+        nominal=nominal_from_true(plant, draw(finite(0.5, 1.5))),
+        gains=Gains(k_p=draw(finite(0.1, 150.0)), k_d=draw(finite(0.1, 20.0)),
+                    k_i=draw(finite(0.1, 10.0))),
         scenario=draw(st.sampled_from(SCENARIOS)),
-        o_ref0=draw(unit(-3.0, 3.0)),
-        ramp_v=draw(unit(-0.5, 0.5)),
-        sin_amplitude=draw(unit(0.05, 0.5)),  # nonzero, so feedforward acts
-        sin_rate=draw(unit(0.05, 3.0)),
+        o_ref0=draw(nonzero(3.0)),
+        ramp_v=draw(nonzero(0.5)),
+        sin_amplitude=draw(finite(0.05, 0.5)),  # nonzero, so feedforward acts
+        sin_rate=draw(finite(0.05, 3.0)),
         feedforward=draw(st.booleans()),
         open_loop=draw(st.booleans()),
+        **run,
     )
-    t = draw(unit(0.0, 60.0))
-    y = (draw(unit(-10.0, 10.0)), draw(unit(-5.0, 5.0)), draw(unit(-10.0, 10.0)),
-         draw(unit(-7.0, 7.0)), draw(unit(-30.0, 30.0)), draw(unit(-5.0, 5.0)))
-    held = draw(st.none() | st.tuples(unit(-20.0, 20.0), unit(-20.0, 20.0)))
+
+
+@st.composite
+def stage_cases(draw):
+    """A drawn configuration, a stage time, a state and a held torque."""
+    cfg = draw_config(draw)
+    t = draw(finite(0.0, 60.0))
+    y = (draw(finite(-10.0, 10.0)), draw(finite(-5.0, 5.0)), draw(finite(-10.0, 10.0)),
+         draw(finite(-7.0, 7.0)), draw(finite(-30.0, 30.0)), draw(finite(-5.0, 5.0)))
+    held = draw(st.none() | st.tuples(finite(-20.0, 20.0), finite(-20.0, 20.0)))
     return cfg, t, y, held
+
+
+@st.composite
+def run_cases(draw):
+    """A drawn configuration and start, run for 1 to 50 steps, each recorded."""
+    dt = draw(st.sampled_from([1e-3, 2.5e-3, 0.01]))
+    initial = HoopState(
+        theta=draw(finite(-1.0, 1.0)), o=draw(finite(-3.0, 3.0)),
+        omega=draw(finite(-2.0, 2.0)), theta_a=draw(finite(-1.5, 1.5)),
+        omega_a=draw(finite(-3.0, 3.0)),
+    )
+    return draw_config(
+        draw, dt=dt, t_end=draw(st.integers(1, 50)) * dt, stride=1, initial=initial,
+        hold_dt=draw(st.none() | st.sampled_from([dt, 0.007, 0.01])),
+    )
+
+
+def run_outcome(run, cfg):
+    """The trajectory ``run`` records, with (time, state bits) if it diverged."""
+    try:
+        return run(cfg), None
+    except DivergenceError as exc:
+        return exc.trajectory, (exc.time, bits(exc.state))
 
 
 class TestClosedLoopStage:
@@ -416,26 +499,21 @@ class TestClosedLoopStage:
     def test_equals_modular_composition(self, case):
         cfg, t, y, held = case
         ref_fn = cfg.reference()
-        rates, tau_u, tilde_tau_u = closed_loop(cfg, ref_fn)(t, y, held)
-        cs = ControllerState()
+        rates, tau_u, tilde_tau_u = closed_loop(cfg)(ref_fn(t), y, held)
         if cfg.open_loop:  # no torque, nothing held
             expected = derivative(cfg.plant, HoopState(*y[:5]), 0.0) + (0.0,)
             torques = (0.0, 0.0)
-        elif held is None:
-            expected = modular_rates(cfg, ref_fn, cs, t, y, None)
-            torques = (cs.last_torque, cs.last_pid_torque)
         else:
-            expected = modular_rates(cfg, ref_fn, cs, t, y, held[0])
-            torques = held
+            expected, torques = modular_rates(cfg, ref_fn, t, y, held)
         assert bits(rates) == bits(expected)
         assert bits((tau_u, tilde_tau_u)) == bits(torques)
 
     def test_rejects_non_finite_torque_like_the_plant(self):
         cfg = make_config()
-        stage = closed_loop(cfg, cfg.reference())
+        stage = closed_loop(cfg)
         y = (0.0, -2.0, -0.1, 0.0, 0.1, 0.0)
         with pytest.raises(ValueError, match="control torque must be finite"):
-            stage(0.0, y, (math.inf, 0.0))
+            stage(cfg.reference()(0.0), y, (math.inf, 0.0))
         with pytest.raises(ValueError, match="control torque must be finite"):
             integrate(make_config(t_end=1.0, initial=HoopState(0.0, 1e308, 0.0, 0.0, 0.0)))
 
@@ -443,13 +521,23 @@ class TestClosedLoopStage:
         bad_angle = math.acos(singular_plant.pendulum_inertia / singular_plant.coupling_amp)
         cfg = SimConfig(plant=singular_plant, nominal=nominal_from_true(singular_plant, 1.5),
                         gains=GAINS, initial=HoopState(0.0, 0.0, 0.1, bad_angle, 0.1))
-        stage = closed_loop(cfg, cfg.reference())
+        stage, ref = closed_loop(cfg), cfg.reference()(0.0)
         with pytest.raises(SingularCouplingError):
-            stage(0.0, (0.0, 0.0, 0.1, bad_angle, 0.1, 0.0), None)
+            stage(ref, (0.0, 0.0, 0.1, bad_angle, 0.1, 0.0), None)
         with pytest.raises(SingularCouplingError):
-            stage(0.0, (0.0, 0.0, 0.1, -bad_angle, 0.1, 0.0), (0.3, 0.3))
+            stage(ref, (0.0, 0.0, 0.1, -bad_angle, 0.1, 0.0), (0.3, 0.3))
         with pytest.raises(SingularCouplingError):
             integrate(cfg)
+
+    @settings(max_examples=150, deadline=None)
+    @given(run_cases())
+    def test_integrate_equals_modular_loop_on_drawn_runs(self, cfg):
+        fused, fused_end = run_outcome(integrate, cfg)
+        modular, modular_end = run_outcome(modular_integrate, cfg)
+        assert fused_end == modular_end
+        assert len(fused) == len(modular)
+        for column in TRAJECTORY_COLUMNS:
+            assert bits(getattr(fused, column)) == bits(getattr(modular, column)), column
 
     @pytest.mark.parametrize("name", ORACLE_CONFIGS)
     def test_integrate_is_bit_identical_to_modular_loop(self, name):
