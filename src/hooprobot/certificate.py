@@ -14,18 +14,23 @@ Near the corner where k_i approaches its upper bound with kappa near the top
 of its admissible range, P_s can lose definiteness even though both gain
 inequalities hold with margin.  The report carries the eigenvalues so such
 cases are visible rather than silently certified.
+
+numpy is imported inside the functions that call it: the CLI imports this
+module for every command, and only ``check-gains`` and ``sweep`` need
+numpy, so ``simulate`` starts without paying for its import.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .controller import Gains
 from .regularizer import NominalParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class DerivedConstants(NamedTuple):
@@ -104,6 +109,8 @@ def admissible_gain_sample(
     the P_s matrix can lose definiteness even though the inequalities hold,
     see the module docstring.
     """
+    import numpy as np
+
     # One draw of the whole (count, 3) block consumes the generator in the
     # same order as per-triple scalar uniform(k_d), uniform(fraction),
     # uniform(margin) calls, and low + (high - low) * u is the arithmetic
@@ -164,7 +171,8 @@ class CertificateReport:
         return "\n".join(lines)
 
 
-def _check_r_const(r_const: float) -> None:
+def check_r_const(r_const: float) -> None:
+    """Raise ValueError unless the thresholds' constant r is finite and positive."""
     if not (math.isfinite(r_const) and r_const > 0.0):
         raise ValueError(f"r_const must be positive, got {r_const!r}")
 
@@ -204,7 +212,7 @@ def check_gains(
     operating region) are supplied, the Lyapunov matrices are evaluated too
     and their eigenvalues included.
     """
-    _check_r_const(r_const)
+    check_r_const(r_const)
     k_p, k_d, k_i = g.k_p, g.k_d, g.k_i
     margins = _margins(k_p, k_d, k_i, delta, mu, kappa, r_const)
 
@@ -248,6 +256,8 @@ def proof_matrices(
     of the four can be overridden, e.g. zeroing all cross terms makes P_s
     diagonal for sanity checks.
     """
+    import numpy as np
+
     _check_inertia_bounds(mu_min, mu_max)
     if not (math.isfinite(theta_bound) and theta_bound > 0.0):
         raise ValueError(f"theta_bound must be positive, got {theta_bound!r}")
@@ -266,6 +276,8 @@ def _check_inertia_bounds(mu_min: float, mu_max: float) -> None:
 
 
 def _check_finite(p_s: np.ndarray, q_s: np.ndarray) -> None:
+    import numpy as np
+
     if not (np.isfinite(p_s).all() and np.isfinite(q_s).all()):
         raise ValueError("non-finite entry in Lyapunov matrices")
 
@@ -330,6 +342,8 @@ def lyapunov_matrices(
     gamma: Optional[float] = None,
 ) -> LyapunovEigs:
     """Eigenvalues and definiteness flags of the bound matrices P_s and Q_s."""
+    import numpy as np
+
     p_s, q_s = proof_matrices(
         g, alpha, kappa, theta_bound, mu_min, mu_max,
         sigma=sigma, beta=beta, gamma=gamma,
@@ -367,7 +381,9 @@ def certify_gains(
     chunk's P_s and Q_s go to ``np.linalg.eigvalsh`` as one (n, 3, 3) stack,
     which gives the same eigenvalues bit for bit as one call per matrix.
     """
-    _check_r_const(r_const)
+    import numpy as np
+
+    check_r_const(r_const)
     _check_inertia_bounds(mu_min, mu_max)
     spread = 1.0 - mu_min / mu_max
     reports: list[CertificateReport] = []

@@ -17,10 +17,9 @@ import configparser
 import csv
 import math
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from functools import partial
-from multiprocessing import Pool
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -279,6 +278,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         traj, summary = exc.trajectory, None  # the partial run is written all the same
+    except ValueError as exc:  # a non-finite torque or a singular input coupling
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     traj.write_csv(
         out_dir / "trajectory.csv",
         [(out_dir / name, columns) for name, columns in FIGURES],
@@ -301,12 +303,32 @@ def _certificate_inputs(cfg: dict[str, dict[str, str]], args: argparse.Namespace
     plant = build_plant(cfg)
     gains = build_gains(cfg)
     factor = args.cert_mismatch if args.cert_mismatch is not None else 1.0
-    believed = nominal_from_true(plant, factor)
-    constants = certificate.derived_constants(believed, args.k_x)
-    kappa = args.kappa if args.kappa is not None else certificate.kappa_mid(constants)
+    try:
+        believed = nominal_from_true(plant, factor)
+        constants = certificate.derived_constants(believed, args.k_x)
+        certificate.check_r_const(args.r_const)
+    except ValueError as exc:
+        raise ConfigError(f"invalid certificate flags: {exc}") from exc
+    if args.kappa is None:
+        kappa = certificate.kappa_mid(constants)
+    elif math.isfinite(args.kappa):
+        kappa = args.kappa
+    else:
+        raise ConfigError(f"kappa must be finite, got {args.kappa!r}")
     i_max = believed.rolling_inertia
     i_min = i_max - believed.inertia_dip
     return believed, gains, constants, kappa, (i_min, i_max)
+
+
+@contextmanager
+def _evaluating_certificate():
+    """Flags that leave the thresholds undefined (the square root of a negative
+    number, an overflow, a division by a power of k_i that underflows) are a
+    configuration error, not a crash."""
+    try:
+        yield
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"certificate undefined at these flags: {exc}") from exc
 
 
 def cmd_check_gains(args: argparse.Namespace) -> int:
@@ -337,9 +359,10 @@ def cmd_check_gains(args: argparse.Namespace) -> int:
             ]
         except ValueError as exc:
             raise ConfigError(f"bad sweep range {spec_text!r}: {exc}") from exc
-        reports = certificate.certify_gains(
-            candidates, constants.delta, constants.mu, kappa, args.r_const, i_min, i_max,
-        )
+        with _evaluating_certificate():
+            reports = certificate.certify_gains(
+                candidates, constants.delta, constants.mu, kappa, args.r_const, i_min, i_max,
+            )
         print(f"{name}\tk_i_margin\tk_p_margin\tlambda_min_P\tpassed")
         for value, report in zip(values, reports):
             print(
@@ -348,10 +371,11 @@ def cmd_check_gains(args: argparse.Namespace) -> int:
             )
         return 0
 
-    report = certificate.check_gains(
-        gains, constants.delta, constants.mu, kappa,
-        r_const=args.r_const, mu_min=i_min, mu_max=i_max,
-    )
+    with _evaluating_certificate():
+        report = certificate.check_gains(
+            gains, constants.delta, constants.mu, kappa,
+            r_const=args.r_const, mu_min=i_min, mu_max=i_max,
+        )
     print(report.serialize())
     return 0 if report.passed else 1
 
@@ -382,9 +406,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     _apply_overrides(cfg, args)
     _, _, constants, kappa, (i_min, i_max) = _certificate_inputs(cfg, args)
-    triples = certificate.admissible_gain_sample(
-        args.count, args.seed, constants, kappa, r_const=args.r_const,
-    )
+    with _evaluating_certificate():
+        triples = certificate.admissible_gain_sample(
+            args.count, args.seed, constants, kappa, r_const=args.r_const,
+        )
     certify = partial(
         certificate.certify_gains, delta=constants.delta, mu=constants.mu, kappa=kappa,
         r_const=args.r_const, mu_min=i_min, mu_max=i_max,
@@ -393,6 +418,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         triples[start:start + certificate.CHUNK]
         for start in range(0, len(triples), certificate.CHUNK)
     ]
+    from multiprocessing import Pool  # imported here: no other command needs it
+
     # Reports are reduced to CSV rows one chunk at a time, so a long sweep
     # never holds more than one chunk of full reports.
     with Pool(args.jobs) if args.jobs > 1 else nullcontext() as pool:

@@ -392,12 +392,18 @@ def integrate(cfg: SimConfig) -> Trajectory:
 
     Each RK4 step samples the reference once per distinct time: the sample
     at t serves k1 and the recorded row, the one at t + dt/2 serves k2 and
-    k3, the one at t + dt serves k4.  A recorded row takes its energy from
-    the plant constants read once per run; ``energy`` is its oracle, equal
-    bit for bit.
+    k3, the one at t + dt serves k4.  An open-loop stage ignores its sample,
+    so there k2, k3 and k4 share one fixed sample and only t is sampled per
+    step.  A recorded row takes its energy from the plant constants read
+    once per run; ``energy`` is its oracle, equal bit for bit.
     """
     p, n = cfg.plant, cfg.nominal
     reference = cfg.reference()
+    if cfg.open_loop:
+        fixed = reference(0.0)
+        stage_reference = lambda _t: fixed
+    else:
+        stage_reference = reference
     stage = closed_loop(cfg)
     dt = cfg.dt
     steps = int(round(cfg.t_end / dt))
@@ -471,7 +477,7 @@ def integrate(cfg: SimConfig) -> Trajectory:
             record(t, ref, y, tau_u, tilde_tau_u)
         if i == steps:
             break
-        ref = reference(t + half)
+        ref = stage_reference(t + half)
         theta, o, omega, theta_a, omega_a, o_i = y
         k1_th, k1_o, k1_w, k1_qa, k1_wa, k1_oi = k1
         (k2_th, k2_o, k2_w, k2_qa, k2_wa, k2_oi), _, _ = stage(ref, (
@@ -482,7 +488,7 @@ def integrate(cfg: SimConfig) -> Trajectory:
             theta + half * k2_th, o + half * k2_o, omega + half * k2_w,
             theta_a + half * k2_qa, omega_a + half * k2_wa, o_i + half * k2_oi,
         ), held)
-        (k4_th, k4_o, k4_w, k4_qa, k4_wa, k4_oi), _, _ = stage(reference(t + dt), (
+        (k4_th, k4_o, k4_w, k4_qa, k4_wa, k4_oi), _, _ = stage(stage_reference(t + dt), (
             theta + dt * k3_th, o + dt * k3_o, omega + dt * k3_w,
             theta_a + dt * k3_qa, omega_a + dt * k3_wa, o_i + dt * k3_oi,
         ), held)

@@ -248,6 +248,14 @@ class TestSimulateCommand:
         assert "diverged" in capsys.readouterr().err
         assert (out / "trajectory.csv").is_file()
 
+    def test_non_finite_torque_exits_one_with_one_line(self, tmp_path, capsys):
+        code = main(["simulate", "--kp", "1e308", "--t-end", "0.01",
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: control torque must be finite, got -inf\n"
+
     def test_open_loop_flag(self, tmp_path):
         out = tmp_path / "run"
         assert main(["simulate", "--g", "0", "--open-loop", "--t-end", "1",
@@ -294,11 +302,41 @@ class TestSchema:
         assert "unrecognized arguments: --dt" in capsys.readouterr().err
 
 
-def test_cli_import_does_not_load_scipy():
-    # only the equilibrium search needs scipy, and importing it dominates start-up
-    code = "import sys, hooprobot.cli; sys.exit('scipy' in sys.modules)"
+# In a fresh interpreter: import the CLI, run main(argv), and print the
+# heavy modules loaded after the import and after the run, then the exit code.
+# scipy belongs to `equilibrium`, numpy to the certificate commands and
+# multiprocessing to `sweep --jobs`; each dominates start-up.
+FRESH_MAIN = """\
+import sys
+from hooprobot.cli import main
+def heavy():
+    return [name for name in ("numpy", "scipy", "multiprocessing") if name in sys.modules]
+at_import = heavy()
+code = main(sys.argv[1:])
+print(at_import, heavy(), code)
+"""
+
+
+def fresh_main(*argv):
+    """stdout lines of FRESH_MAIN with the package under test."""
     src = str(Path(hooprobot.__file__).resolve().parents[1])
-    assert subprocess.run([sys.executable, "-c", code], cwd=src).returncode == 0
+    result = subprocess.run([sys.executable, "-c", FRESH_MAIN, *argv], cwd=src,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
+def test_cli_start_up_loads_no_numpy_scipy_or_multiprocessing(tmp_path):
+    out = tmp_path / "run"
+    lines = fresh_main("simulate", "--t-end", "0.01", "--out", str(out))
+    assert lines[-1] == "[] [] 0"
+    assert (out / "trajectory.csv").is_file()
+
+
+def test_check_gains_loads_numpy_on_demand():
+    lines = fresh_main("check-gains", "--kp", "120")
+    assert "passed = True" in lines
+    assert lines[-1] == "[] ['numpy'] 0"
 
 
 class TestCheckGainsCommand:
@@ -354,6 +392,48 @@ class TestCheckGainsCommand:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("config error: bad sweep range")
+
+
+# Certificate flags outside their domain, with the start of the error line.
+BAD_CERTIFICATE_FLAGS = [
+    (["--r-const", "0"], "invalid certificate flags: r_const"),
+    (["--r-const", "inf"], "invalid certificate flags: r_const"),
+    (["--kappa", "nan"], "kappa must be finite"),
+    (["--kappa", "inf"], "kappa must be finite"),
+    (["--k-x", "-1"], "invalid certificate flags: operating-region velocity bound"),
+    (["--k-x", "nan"], "invalid certificate flags: operating-region velocity bound"),
+    (["--cert-mismatch", "0"], "invalid certificate flags: mismatch factor"),
+    (["--cert-mismatch", "nan"], "invalid certificate flags: mismatch factor"),
+    (["--kappa", "1e160"], "certificate undefined at these flags"),  # kappa**2 overflows
+]
+
+
+class TestCertificateFlags:
+    @pytest.mark.parametrize("flags, message", BAD_CERTIFICATE_FLAGS + [
+        # a negative kappa puts a negative number under the k_2 square root
+        (["--ki", "0.5", "--kappa", "-0.00146"], "certificate undefined at these flags"),
+    ])
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "kp", "90:100:5"]])
+    def test_check_gains_exits_two_with_one_line(self, flags, message, sweep, capsys):
+        assert main(["check-gains", *flags, *sweep]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize("flags, message", BAD_CERTIFICATE_FLAGS + [
+        (["--r-const", "-1"], "invalid certificate flags: r_const"),
+        # k_i's upper bound is about 1e-305, so the thresholds divide by k_i**3 == 0
+        (["--k-x", "1e308"], "certificate undefined at these flags"),
+    ])
+    def test_sweep_exits_two_with_one_line(self, flags, message, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--count", "5", *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"config error: {message}")
+        assert not out.exists()
 
 
 class TestEquilibriumCommand:

@@ -297,6 +297,25 @@ class TestControllerEvaluations:
         expected = [v for i in range(1000) for v in (i * dt, i * dt + dt / 2.0, i * dt + dt)]
         assert times == expected + [1000 * dt]
 
+    def test_open_loop_samples_the_reference_only_at_step_times(self, monkeypatch):
+        # the open-loop stage ignores its sample: one fixed sample serves k2, k3, k4
+        cfg = make_config(scenario="sinusoid", open_loop=True, t_end=1.0)
+        times = []
+        build = SimConfig.reference
+
+        def counting_reference(self):
+            reference = build(self)
+
+            def counted(t):
+                times.append(t)
+                return reference(t)
+
+            return counted
+
+        monkeypatch.setattr(SimConfig, "reference", counting_reference)
+        integrate(cfg)
+        assert times == [0.0] + [i * cfg.dt for i in range(1001)]
+
     def test_recorded_energy_does_not_call_energy(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("integrate called sim.energy")
