@@ -201,8 +201,6 @@ def check_gains(
     r_const: float = 1.0,
     mu_min: Optional[float] = None,
     mu_max: Optional[float] = None,
-    alpha: Optional[float] = None,
-    theta_bound: float = 1.0,
 ) -> CertificateReport:
     """Evaluate the two gain inequalities and report margins and flags.
 
@@ -219,10 +217,7 @@ def check_gains(
     p_eigs = q_eigs = None
     p_pd = q_pd = None
     if mu_min is not None and mu_max is not None:
-        eigs = lyapunov_matrices(
-            g, alpha=alpha, kappa=kappa, theta_bound=theta_bound,
-            mu_min=mu_min, mu_max=mu_max,
-        )
+        eigs = lyapunov_matrices(g, kappa, mu_min, mu_max)
         p_eigs = tuple(float(v) for v in eigs.p_eigenvalues)
         q_eigs = tuple(float(v) for v in eigs.q_eigenvalues)
         p_pd = eigs.p_positive_definite
@@ -330,24 +325,12 @@ class LyapunovEigs(NamedTuple):
     q_positive_definite: bool
 
 
-def lyapunov_matrices(
-    g: Gains,
-    kappa: float,
-    mu_min: float,
-    mu_max: float,
-    alpha: Optional[float] = None,
-    theta_bound: float = 1.0,
-    sigma: Optional[float] = None,
-    beta: Optional[float] = None,
-    gamma: Optional[float] = None,
-) -> LyapunovEigs:
-    """Eigenvalues and definiteness flags of the bound matrices P_s and Q_s."""
+def lyapunov_matrices(g: Gains, kappa: float, mu_min: float, mu_max: float) -> LyapunovEigs:
+    """Eigenvalues and definiteness flags of the bound matrices P_s and Q_s,
+    with ``proof_matrices``' default free parameters and theta_bound 1."""
     import numpy as np
 
-    p_s, q_s = proof_matrices(
-        g, alpha, kappa, theta_bound, mu_min, mu_max,
-        sigma=sigma, beta=beta, gamma=gamma,
-    )
+    p_s, q_s = proof_matrices(g, None, kappa, 1.0, mu_min, mu_max)
     p_eigs = np.linalg.eigvalsh(p_s)
     q_eigs = np.linalg.eigvalsh(q_s)
     return LyapunovEigs(
@@ -373,8 +356,8 @@ def certify_gains(
     mu_min: float,
     mu_max: float,
 ) -> list[CertificateReport]:
-    """``check_gains`` with inertia bounds, at its default alpha and
-    theta_bound, for many triples: the reports equal it field for field.
+    """``check_gains`` with inertia bounds for many triples: the reports
+    equal it field for field.
 
     Works through ``CHUNK`` triples at a time: the matrix entries and margins
     are the same Python float arithmetic as the one-triple path, and each

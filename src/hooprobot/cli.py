@@ -224,11 +224,11 @@ def build_sim_config(cfg: dict[str, dict[str, str]]) -> SimConfig:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
-def settling_time(traj: Trajectory, band: float = SETTLING_BAND) -> float:
-    """Earliest time after which |o_e| stays inside the band; inf if never."""
+def settling_time(traj: Trajectory) -> float:
+    """Earliest time after which |o_e| stays inside SETTLING_BAND; inf if never."""
     last_outside = None
     for i, value in enumerate(traj.o_e):
-        if abs(value) >= band:
+        if abs(value) >= SETTLING_BAND:
             last_outside = i
     if last_outside is None:
         return traj.t[0]
@@ -266,21 +266,16 @@ def write_manifest(
         out.write(fh)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+def cmd_simulate(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> int:
     sim_cfg = build_sim_config(cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         traj = integrate(sim_cfg)
         summary = _summary(traj)
-    except DivergenceError as exc:
+    except (DivergenceError, ValueError) as exc:  # also a non-finite torque, a singular coupling
         print(f"error: {exc}", file=sys.stderr)
         traj, summary = exc.trajectory, None  # the partial run is written all the same
-    except ValueError as exc:  # a non-finite torque or a singular input coupling
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     traj.write_csv(
         out_dir / "trajectory.csv",
         [(out_dir / name, columns) for name, columns in FIGURES],
@@ -331,9 +326,7 @@ def _evaluating_certificate():
         raise ConfigError(f"certificate undefined at these flags: {exc}") from exc
 
 
-def cmd_check_gains(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+def cmd_check_gains(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> int:
     _, gains, constants, kappa, (i_min, i_max) = _certificate_inputs(cfg, args)
 
     if args.sweep is not None:
@@ -380,9 +373,7 @@ def cmd_check_gains(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_equilibrium(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
+def cmd_equilibrium(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> int:
     plant = build_plant(cfg)
     result = actuator_equilibrium(plant)
     print(f"beta_max = {math.degrees(result.beta_max):.4f} deg ({result.beta_max:.6f} rad)")
@@ -398,13 +389,11 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> int:
     if args.count < 1 or args.jobs < 1:
         raise ConfigError(
             f"--count and --jobs must be >= 1, got {args.count} and {args.jobs}"
         )
-    cfg = load_config(args.config)
-    _apply_overrides(cfg, args)
     _, _, constants, kappa, (i_min, i_max) = _certificate_inputs(cfg, args)
     with _evaluating_certificate():
         triples = certificate.admissible_gain_sample(
@@ -498,7 +487,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_chk.set_defaults(func=cmd_check_gains)
 
     p_eq = sub.add_parser("equilibrium", help="steady actuator angle and max incline")
-    _add_config_flags(p_eq, "plant", "controller")
+    _add_config_flags(p_eq, "plant")
     p_eq.set_defaults(func=cmd_equilibrium)
 
     p_sw = sub.add_parser("sweep", help="seeded sweep of admissible gain triples")
@@ -513,13 +502,12 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = load_config(args.config)
+        _apply_overrides(cfg, args)
+        return args.func(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .plant import HoopState
+from .geometry import christoffel
+from .plant import HoopState, inertia_field
 from .reference import ReferenceSample
 from .regularizer import NominalParams, regularize
 
@@ -62,8 +63,7 @@ def integrator_rate(
     n: NominalParams, theta_a: float, omega_a: float, o_I: float, eta_e: float
 ) -> float:
     """Rate of the transported integrator state: eta_e - Gamma * omega_a * o_I."""
-    gamma = n.inertia_slope(theta_a) / (2.0 * n.inertia(theta_a))
-    return eta_e - gamma * omega_a * o_I
+    return eta_e - christoffel(inertia_field(n), theta_a) * omega_a * o_I
 
 
 def pid(

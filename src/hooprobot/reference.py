@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-SCENARIOS = ("fixed_point", "ramp", "sinusoid")
-
 DEFAULT_RAMP_SPEED = 0.2
 DEFAULT_SIN_AMPLITUDE = 0.3
 DEFAULT_SIN_RATE = 0.5
@@ -70,6 +68,15 @@ def sinusoid(
     return sample
 
 
+# Each scenario's sampler and the keywords it takes after the start position.
+_SAMPLERS = {
+    "fixed_point": (constant, ()),
+    "ramp": (ramp, ("v",)),
+    "sinusoid": (sinusoid, ("amplitude", "rate")),
+}
+SCENARIOS = tuple(_SAMPLERS)
+
+
 def make_reference(scenario: str, o0: float = 0.0, **params: float) -> Reference:
     """Build the reference for a scenario id ("fixed_point", "ramp", "sinusoid").
 
@@ -77,23 +84,10 @@ def make_reference(scenario: str, o0: float = 0.0, **params: float) -> Reference
     sinusoid; unknown keys for the chosen scenario are rejected so config
     typos do not pass silently.
     """
-    if scenario == "fixed_point":
-        allowed: tuple[str, ...] = ()
-    elif scenario == "ramp":
-        allowed = ("v",)
-    elif scenario == "sinusoid":
-        allowed = ("amplitude", "rate")
-    else:
+    if scenario not in _SAMPLERS:
         raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
+    sampler, allowed = _SAMPLERS[scenario]
     extra = set(params) - set(allowed)
     if extra:
         raise ValueError(f"scenario {scenario!r} does not take parameters {sorted(extra)}")
-    if scenario == "fixed_point":
-        return constant(o0)
-    if scenario == "ramp":
-        return ramp(o0, params.get("v", DEFAULT_RAMP_SPEED))
-    return sinusoid(
-        o0,
-        params.get("amplitude", DEFAULT_SIN_AMPLITUDE),
-        params.get("rate", DEFAULT_SIN_RATE),
-    )
+    return sampler(o0, **params)

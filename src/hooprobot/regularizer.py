@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .plant import PlantParams, derive_mass_constants
+from .plant import PlantParams, derive_mass_constants, inertia_field
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,6 @@ class NominalParams:
     def inertia(self, theta_a: float) -> float:
         """Believed reduced inertia at actuator angle theta_a."""
         return self.rolling_inertia - self.inertia_dip * math.cos(theta_a) ** 2
-
-    def inertia_slope(self, theta_a: float) -> float:
-        """dI/dtheta_a of the believed inertia; the connection is Gamma = slope / (2 I)."""
-        return self.inertia_dip * math.sin(2.0 * theta_a)
 
 
 def nominal_from_true(p: PlantParams, factor: float = 1.5) -> NominalParams:
@@ -115,6 +111,7 @@ def regularize(
     the flat-ground potential shaping.  All coefficients come from the
     believed parameters.
     """
-    connection = 0.5 * n.inertia_slope(theta_a) * omega_a * omega_e  # I * Gamma = slope / 2
+    # I * Gamma = I' / 2
+    connection = 0.5 * inertia_field(n).derivative(theta_a) * omega_a * omega_e
     centrifugal = n.coupling_amp * math.sin(theta_a) * omega_a**2
     return -connection + centrifugal + shaping_torque(n, theta_a) + tilde_tau_u

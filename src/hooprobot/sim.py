@@ -265,7 +265,7 @@ def lagrangian_oracle(
         dpe_dq[j] = (pe_at(qp[0], qp[1]) - pe_at(qm[0], qm[1])) / (2.0 * h_q)
 
     denom = p.pendulum_inertia - p.coupling_amp * math.cos(s.theta_a)
-    if abs(denom) < 1e-12:
+    if abs(denom) < COUPLING_SINGULARITY_TOL:
         raise SingularCouplingError(
             f"input allocation singular at theta_a={s.theta_a!r}"
         )
@@ -396,7 +396,22 @@ def integrate(cfg: SimConfig) -> Trajectory:
     so there k2, k3 and k4 share one fixed sample and only t is sampled per
     step.  A recorded row takes its energy from the plant constants read
     once per run; ``energy`` is its oracle, equal bit for bit.
+
+    A ValueError from a stage (a non-finite torque, a singular input
+    coupling) carries the rows recorded before it as ``trajectory``, as a
+    DivergenceError does.
     """
+    traj = Trajectory()
+    try:
+        _run(cfg, traj)
+    except ValueError as exc:
+        exc.trajectory = traj
+        raise
+    return traj
+
+
+def _run(cfg: SimConfig, traj: Trajectory) -> None:
+    """The RK4 loop of ``integrate``, recording into ``traj``."""
     p, n = cfg.plant, cfg.nominal
     reference = cfg.reference()
     if cfg.open_loop:
@@ -412,7 +427,6 @@ def integrate(cfg: SimConfig) -> Trajectory:
     hold = cfg.hold_dt is not None and not cfg.open_loop
     hold_steps = max(1, int(round(cfg.hold_dt / dt))) if hold else None
 
-    traj = Trajectory()
     (put_t, put_theta, put_o, put_omega, put_theta_a, put_omega_a, put_o_i, put_o_e,
      put_omega_e, put_tau_u, put_tilde, put_energy) = (column.append for column in (
         traj.t, traj.theta, traj.o, traj.omega, traj.theta_a, traj.omega_a, traj.o_I,
@@ -506,4 +520,3 @@ def integrate(cfg: SimConfig) -> Trajectory:
             traj.diverged_at = t + dt
             raise DivergenceError(t + dt, y, traj)
         y = (theta_n, o_n, omega_n, theta_a_n, omega_a_n, o_i_n)
-    return traj

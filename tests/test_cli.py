@@ -25,7 +25,7 @@ from hooprobot.cli import (
 )
 from hooprobot.controller import Gains
 from hooprobot.regularizer import nominal_from_true
-from hooprobot.sim import Trajectory
+from hooprobot.sim import CSV_HEADER, Trajectory
 
 
 OUTPUT_FIGURES = {
@@ -256,6 +256,21 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert captured.err == "error: control torque must be finite, got -inf\n"
 
+    def test_non_finite_torque_rewrites_files_of_an_earlier_run(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["simulate", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--kp", "1e308", "--t-end", "0.01", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: control torque must be finite, got -inf\n"
+        assert (out / "trajectory.csv").read_text() == CSV_HEADER + "\n"
+        assert assert_figures_match_trajectory(out) == []
+        manifest = configparser.ConfigParser(interpolation=None)
+        manifest.read(out / "manifest.ini")
+        assert "summary" not in manifest
+        assert manifest["controller"]["k_p"] == "1e+308"
+
     def test_open_loop_flag(self, tmp_path):
         out = tmp_path / "run"
         assert main(["simulate", "--g", "0", "--open-loop", "--t-end", "1",
@@ -300,6 +315,12 @@ class TestSchema:
                 main([command, "--dt", "0.01"])
             assert excinfo.value.code == 2
         assert "unrecognized arguments: --dt" in capsys.readouterr().err
+        # equilibrium reads only [plant], so it takes no controller flag either
+        for flag in (["--kp", "16"], ["--mismatch", "1.5"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["equilibrium", *flag])
+            assert excinfo.value.code == 2
+            assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 # In a fresh interpreter: import the CLI, run main(argv), and print the
