@@ -28,7 +28,7 @@ from .controller import Gains
 from .plant import HoopState, PlantParams, actuator_equilibrium
 from .reference import SCENARIOS
 from .regularizer import nominal_from_true
-from .sim import DivergenceError, SimConfig, Trajectory, integrate
+from .sim import DivergenceError, SimConfig, Trajectory, WriterError, integrate_to_csv
 
 
 class Option(NamedTuple):
@@ -266,22 +266,40 @@ def write_manifest(
         out.write(fh)
 
 
+@contextmanager
+def _writing(path: Path):
+    """An output that cannot be created is a configuration error, not a crash.
+
+    Only an error that names a file counts; a failed pipe or fork, or a
+    write to a full disk, still raises.
+    """
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_simulate(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> int:
     sim_cfg = build_sim_config(cfg)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        traj = integrate(sim_cfg)
-        summary = _summary(traj)
-    except (DivergenceError, ValueError) as exc:  # also a non-finite torque, a singular coupling
-        print(f"error: {exc}", file=sys.stderr)
-        traj, summary = exc.trajectory, None  # the partial run is written all the same
-    traj.write_csv(
-        out_dir / "trajectory.csv",
-        [(out_dir / name, columns) for name, columns in FIGURES],
-        sim_cfg.reference(),
-    )
-    write_manifest(out_dir / "manifest.ini", cfg, summary)
+    summary = None
+    with _writing(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            traj = integrate_to_csv(
+                sim_cfg,
+                out_dir / "trajectory.csv",
+                [(out_dir / name, columns) for name, columns in FIGURES],
+            )
+            summary = _summary(traj)
+        except (DivergenceError, ValueError) as exc:  # also a non-finite torque, a singular coupling
+            print(f"error: {exc}", file=sys.stderr)  # the partial run is written all the same
+        except WriterError as exc:
+            if exc.status < 0:  # a signal ended the writer before it could say why
+                print(f"error: {exc}", file=sys.stderr)
+        write_manifest(out_dir / "manifest.ini", cfg, summary)
     if summary is None:
         return 1
     print(
@@ -420,7 +438,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> int:
         ]
 
     out_path = Path(args.out)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    with _writing(out_path), open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["k_p", "k_d", "k_i", "k_i_margin", "k_p_margin",

@@ -20,13 +20,22 @@ catch sign and wiring mistakes in the plant module instead of inheriting
 them.  ``integrate`` records the energy with ``energy``'s expressions and
 their constant prefixes read once per run, so ``energy`` is the oracle of
 the recorded column as well.
+
+``integrate`` and ``Trajectory.write_csv`` run in the calling process.
+``integrate_to_csv``, which ``hooprobot simulate`` calls, forks one writer
+process that turns the rows into CSV text while the caller integrates; both
+writers share one formatting loop, so their files are byte-identical.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import signal
+from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 from typing import Callable, Optional
 
 from .controller import Gains
@@ -43,7 +52,11 @@ from .regularizer import NominalParams
 DIVERGENCE_LIMIT = 1e6
 
 CSV_HEADER = "t,theta,o,omega,theta_a,omega_a,o_I,o_e,omega_e,tau_u,energy"
-CSV_CHUNK = 256  # rows per block of Trajectory.write_csv; bounds its string memory
+CSV_COLUMNS = tuple(CSV_HEADER.split(","))
+# Rows per block of the CSV writer.  It bounds the writer's string memory and
+# sizes one pipe message of integrate_to_csv: CSV_CHUNK rows of the
+# CSV_COLUMNS as raw doubles, 22.5 kB.
+CSV_CHUNK = 256
 
 
 class DivergenceError(RuntimeError):
@@ -57,6 +70,19 @@ class DivergenceError(RuntimeError):
         self.time = time
         self.state = state
         self.trajectory = trajectory
+
+
+class WriterError(RuntimeError):
+    """The writer process of ``integrate_to_csv`` did not exit with 0.
+
+    A writer that fails reports why on stderr itself; ``status`` is its
+    exit code, or minus the signal that ended it.
+    """
+
+    def __init__(self, status: int):
+        how = f"killed by signal {-status}" if status < 0 else f"exited with {status}"
+        super().__init__(f"CSV writer process {how}")
+        self.status = status
 
 
 # The make_reference parameters of each scenario, as (keyword, SimConfig field).
@@ -94,6 +120,11 @@ class SimConfig:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if not (math.isfinite(self.t_end) and self.t_end > 0.0):
             raise ValueError(f"t_end must be positive, got {self.t_end!r}")
+        if not 0.5 < self.t_end / self.dt < math.inf:  # the run takes round(t_end / dt) steps
+            raise ValueError(
+                f"t_end must cover a finite number of steps, at least one, "
+                f"got t_end={self.t_end!r} at dt={self.dt!r}"
+            )
         if not (isinstance(self.stride, int) and self.stride >= 1):
             raise ValueError(f"record stride must be an integer >= 1, got {self.stride!r}")
         if self.scenario not in SCENARIOS:
@@ -142,31 +173,116 @@ class Trajectory:
         ``figures`` are more tables written in the same pass, each a
         (path, columns) pair, with the CRLF line ends of ``csv.writer``.  A
         column is a trajectory column or ``o_ref``, the position of
-        ``reference`` at each t.  Rows go out in blocks of ``CSV_CHUNK``;
-        within a block every column that any table needs is turned into
-        text once, by ``repr``, and each table's lines are joined from
-        those strings.
+        ``reference`` at each t.  Rows go out in blocks of ``CSV_CHUNK``
+        through the formatting loop that ``integrate_to_csv``'s writer
+        process runs as well.
         """
-        tables = [(path, CSV_HEADER.split(","), "\n")]
-        tables += [(target, columns, "\r\n") for target, columns in figures]
-        needed = list(dict.fromkeys(name for _, columns, _ in tables for name in columns))
+        columns = [getattr(self, name) for name in CSV_COLUMNS]
         with ExitStack() as stack:
-            sinks = []
-            for target, columns, end in tables:
-                fh = stack.enter_context(open(target, "w", encoding="utf-8", newline=""))
-                fh.write(",".join(columns) + end)
-                sinks.append((fh.writelines, ",".join(["{}"] * len(columns)) + end, columns))
+            write = _table_writer(_open_tables(stack, path, figures), reference)
             for start in range(0, len(self.t), CSV_CHUNK):
-                rows = slice(start, start + CSV_CHUNK)
-                text = {}
-                for name in needed:
-                    if name == "o_ref":
-                        values = [reference(t).o_ref for t in self.t[rows]]
-                    else:
-                        values = getattr(self, name)[rows]
-                    text[name] = list(map(repr, values))
-                for writelines, line, columns in sinks:
-                    writelines(map(line.format, *(text[name] for name in columns)))
+                write([column[start:start + CSV_CHUNK] for column in columns])
+
+
+def _open_tables(stack: ExitStack, path, figures) -> list:
+    """Open the tables of ``Trajectory.write_csv`` on ``stack``; returns
+    (file, columns, line end) triples, the trajectory table first."""
+    tables = [(path, CSV_COLUMNS, "\n")]
+    tables += [(target, columns, "\r\n") for target, columns in figures]
+    return [
+        (stack.enter_context(open(target, "w", encoding="utf-8", newline="")), columns, end)
+        for target, columns, end in tables
+    ]
+
+
+def _table_writer(tables: list, reference: Optional[Reference]) -> Callable[[list], None]:
+    """Write the header of each open table; returns ``write(block)``, which
+    appends one block of rows to every table.
+
+    A block holds, in the order of ``CSV_COLUMNS``, one sequence of floats
+    per column.  Within a block every column that any table needs is turned
+    into text once, by ``repr``, and each table's lines are joined from
+    those strings.
+    """
+    needed = list(dict.fromkeys(name for _, columns, _ in tables for name in columns))
+    sinks = []
+    for fh, columns, end in tables:
+        fh.write(",".join(columns) + end)
+        sinks.append((fh.writelines, ",".join(["{}"] * len(columns)) + end, columns))
+
+    def write(block: list) -> None:
+        values = dict(zip(CSV_COLUMNS, block))
+        text = {}
+        for name in needed:
+            if name == "o_ref":
+                text[name] = [repr(reference(t).o_ref) for t in values["t"]]
+            else:
+                text[name] = list(map(repr, values[name]))
+        for writelines, line, columns in sinks:
+            writelines(map(line.format, *(text[name] for name in columns)))
+
+    return write
+
+
+def _fork_writer(tables: list, reference: Reference) -> tuple:
+    """Fork a process that writes the open ``tables`` from blocks sent to it.
+
+    Returns ``(send, finish)`` for this process.  ``send(block)`` puts a
+    block of ``_table_writer`` down a pipe as raw doubles, column after
+    column.  Every block but the last has ``CSV_CHUNK`` rows, so one read of
+    that size takes one block, and a shorter one ends the stream.
+    ``finish()`` closes the pipe, waits for the writer and raises
+    WriterError unless it exited with 0.
+
+    This process closes its copies of the tables and writes nothing to
+    them.  The writer writes the headers and every row; it ignores SIGINT,
+    so that after a Ctrl-C it still writes the rows sent to it, and it ends
+    through ``os._exit``, which flushes none of the buffers it inherited.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(write_fd)
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            write = _table_writer(tables, reference)
+            width = len(CSV_COLUMNS)
+            with open(read_fd, "rb") as pipe:
+                while data := pipe.read(CSV_CHUNK * width * 8):
+                    values = array("d", data)
+                    rows, torn = divmod(len(values), width)
+                    if torn:
+                        raise EOFError("pipe closed inside a block")
+                    write([values[j * rows:(j + 1) * rows] for j in range(width)])
+            for fh, _, _ in tables:
+                fh.close()
+            status = 0
+        except BaseException as exc:  # the writer's last frame: one line, status 1
+            os.write(2, f"error: CSV writer: {str(exc) or type(exc).__name__}\n".encode())
+        finally:
+            os._exit(status)
+    os.close(read_fd)
+    for fh, _, _ in tables:
+        fh.close()
+
+    def send(block: list) -> None:
+        data = memoryview(array("d", chain.from_iterable(block))).cast("B")
+        while data:
+            data = data[os.write(write_fd, data):]
+
+    def finish() -> None:
+        os.close(write_fd)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status:
+            raise WriterError(status)
+
+    return send, finish
 
 
 def energy(p: PlantParams, s: HoopState) -> tuple[float, float]:
@@ -410,8 +526,53 @@ def integrate(cfg: SimConfig) -> Trajectory:
     return traj
 
 
-def _run(cfg: SimConfig, traj: Trajectory) -> None:
-    """The RK4 loop of ``integrate``, recording into ``traj``."""
+def integrate_to_csv(cfg: SimConfig, path, figures=()) -> Trajectory:
+    """``integrate(cfg)`` that writes ``write_csv(path, figures,
+    cfg.reference())`` of its trajectory as it runs; returns the trajectory.
+
+    The tables are opened before the run starts, so an error opening one
+    raises before any step.  A forked writer process (``_fork_writer``)
+    formats and writes them while this process integrates; every
+    ``CSV_CHUNK`` recorded rows are sent to it.  However the run ends,
+    normally or by an exception (DivergenceError, a stage's ValueError,
+    KeyboardInterrupt), the rows not yet sent follow and the writer is
+    waited for, so the files hold every recorded row, byte for byte what
+    ``write_csv`` writes.  A failed writer raises WriterError.  Without
+    ``os.fork`` the same writer takes the blocks in this process.
+
+    A fork copies only the calling thread, so call this from a process
+    that runs no other thread, as ``hooprobot simulate`` does.
+    """
+    traj = Trajectory()
+    columns = [getattr(traj, name) for name in CSV_COLUMNS]
+    sent = 0
+    with ExitStack() as stack:
+        tables = _open_tables(stack, path, figures)
+        if hasattr(os, "fork"):
+            send, finish = _fork_writer(tables, cfg.reference())
+        else:
+            send, finish = _table_writer(tables, cfg.reference()), lambda: None
+
+        def flush() -> None:
+            nonlocal sent
+            block = [column[sent:] for column in columns]
+            sent = len(traj)
+            send(block)
+
+        try:
+            _run(cfg, traj, flush)
+        finally:
+            try:
+                if sent < len(traj):
+                    flush()
+            finally:
+                finish()
+    return traj
+
+
+def _run(cfg: SimConfig, traj: Trajectory, flush: Optional[Callable[[], None]] = None) -> None:
+    """The RK4 loop of ``integrate``, recording into ``traj``; ``flush()``,
+    when given, runs after every ``CSV_CHUNK``-th recorded row."""
     p, n = cfg.plant, cfg.nominal
     reference = cfg.reference()
     if cfg.open_loop:
@@ -489,6 +650,8 @@ def _run(cfg: SimConfig, traj: Trajectory) -> None:
             _, tau_u, tilde_tau_u = stage(ref, y, None)  # no k1 at the last sample
         if i % stride == 0:
             record(t, ref, y, tau_u, tilde_tau_u)
+            if flush is not None and len(traj.t) % CSV_CHUNK == 0:
+                flush()
         if i == steps:
             break
         ref = stage_reference(t + half)

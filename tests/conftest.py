@@ -1,4 +1,6 @@
 """Fixtures shared by the test modules."""
+import os
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
@@ -20,3 +22,18 @@ def singular_plant():
     derive_mass_constants(fake)
     fake.inertia = lambda theta_a: PlantParams.inertia(fake, theta_a)
     return fake
+
+
+@pytest.fixture
+def leaves_no_child_or_fd():
+    """A context manager that asserts its body left no child process behind
+    and no more open file descriptors (counted in /proc/self/fd) than it found."""
+    @contextmanager
+    def check():
+        before = len(os.listdir("/proc/self/fd"))
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    return check

@@ -2,6 +2,7 @@
 import configparser
 import csv
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -271,6 +272,73 @@ class TestSimulateCommand:
         assert "summary" not in manifest
         assert manifest["controller"]["k_p"] == "1e+308"
 
+    @pytest.mark.parametrize("occupied", ["out", "out/trajectory.csv"])
+    def test_unwritable_out_exits_two_with_one_line(self, occupied, tmp_path, capfd,
+                                                    leaves_no_child_or_fd):
+        # a file where the directory goes, or a directory where a table goes
+        out = tmp_path / "out"
+        if occupied == "out":
+            out.write_text("keep")
+        else:
+            (tmp_path / occupied).mkdir(parents=True)
+        with leaves_no_child_or_fd():
+            assert main(["simulate", "--t-end", "0.1", "--out", str(out)]) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+        assert occupied != "out" or out.read_text() == "keep"
+
+    def test_t_end_of_no_step_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["simulate", "--t-end", "0.0005", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: invalid configuration: t_end must cover a finite number of steps"
+        )
+        assert not out.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_writer_exits_one_with_its_one_line(self, tmp_path, capfd,
+                                                       leaves_no_child_or_fd):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "fig_position.csv").symlink_to("/dev/full")  # every write fails: disk full
+        with leaves_no_child_or_fd():
+            assert main(["simulate", "--t-end", "2", "--out", str(out)]) == 1
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: CSV writer: [Errno 28] No space left on device\n"
+        manifest = configparser.ConfigParser(interpolation=None)
+        manifest.read(out / "manifest.ini")
+        assert "summary" not in manifest
+
+    @pytest.mark.parametrize("flags, code", [
+        ([], 0),
+        (["--o0", "2e6"], 1),  # diverges
+        (["--kp", "1e308"], 1),  # non-finite torque
+    ])
+    def test_output_printed_before_a_run_appears_once(self, flags, code, tmp_path):
+        # In a fresh, buffered interpreter whose stdout is a pipe, so that both
+        # texts still sit in the buffers of sys.stdout and sys.stderr at the fork.
+        script = (
+            "import sys\n"
+            "from hooprobot.cli import main\n"
+            "print('printed before', end='')\n"
+            "print('printed before', end='', file=sys.stderr)\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(hooprobot.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", script, "simulate", "--t-end", "1", *flags,
+             "--out", str(tmp_path / "run")],
+            cwd=src, capture_output=True, text=True,
+            env={key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"},
+        )
+        assert result.returncode == code
+        assert result.stdout.count("printed before") == 1
+        assert result.stderr.count("printed before") == 1
+        assert result.stderr.count("\n") == code  # the one error line of a failed run
+
     def test_open_loop_flag(self, tmp_path):
         out = tmp_path / "run"
         assert main(["simulate", "--g", "0", "--open-loop", "--t-end", "1",
@@ -496,6 +564,13 @@ class TestSweepCommand:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("config error: --count and --jobs must be >= 1")
         assert not out.exists()
+
+    def test_directory_as_out_exits_two_with_one_line(self, tmp_path, capsys):
+        assert main(["sweep", "--count", "10", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: cannot write {tmp_path}: ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_chunked_output_equals_per_triple_loop(self, jobs, tmp_path, capsys):

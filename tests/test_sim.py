@@ -1,6 +1,7 @@
 """Integrator behavior: configs, determinism, energy accounting, the oracle."""
 import csv
 import math
+import os
 import random
 from types import SimpleNamespace
 
@@ -55,6 +56,14 @@ class TestSimConfig:
             make_config(stride=1.5)
         with pytest.raises(ValueError, match="hold_dt"):
             make_config(hold_dt=0.0)
+
+    def test_rejects_t_end_of_no_step_or_endless_steps(self):
+        # the run takes round(t_end / dt) steps: 0.5 rounds to none, 0.6 to one
+        with pytest.raises(ValueError, match="t_end must cover a finite number of steps"):
+            make_config(t_end=0.0005, dt=1e-3)
+        assert len(integrate(make_config(t_end=0.0006, dt=1e-3, stride=1))) == 2
+        with pytest.raises(ValueError, match="t_end must cover a finite number of steps"):
+            make_config(t_end=1e300, dt=1e-10)  # the quotient overflows to inf
 
     def test_rejects_unknown_scenario(self):
         with pytest.raises(ValueError, match="scenario"):
@@ -692,3 +701,110 @@ class TestOnePassWriter:
     def test_bytes_equal_on_integrated_run(self, tmp_path):
         cfg = make_config(scenario="sinusoid", o_ref0=0.4, feedforward=True, t_end=1.0, stride=1)
         self.assert_matches_parent(integrate(cfg), cfg.reference(), tmp_path)
+
+
+def streamed(cfg, out):
+    """``integrate_to_csv`` of ``cfg`` into a new directory ``out``."""
+    out.mkdir()
+    return sim.integrate_to_csv(
+        cfg, out / "trajectory.csv", [(out / name, columns) for name, columns in FIGURES],
+    )
+
+
+def written(traj, cfg, out):
+    """``write_csv`` of ``traj`` into a new directory ``out``, as ``simulate`` did
+    before it streamed its rows to a writer process."""
+    out.mkdir()
+    traj.write_csv(
+        out / "trajectory.csv", [(out / name, columns) for name, columns in FIGURES],
+        cfg.reference(),
+    )
+
+
+def assert_same_files(a, b):
+    names = sorted(["trajectory.csv", *(name for name, _ in FIGURES)])
+    assert sorted(p.name for p in a.iterdir()) == names
+    assert sorted(p.name for p in b.iterdir()) == names
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class TestIntegrateToCsv:
+    """The forked writer writes the bytes of ``write_csv`` of ``integrate``,
+    also for a run that fails or is interrupted, and leaves nothing behind."""
+
+    @pytest.mark.parametrize("stride", [1, 7, 10])
+    @pytest.mark.parametrize("hold_dt", [None, 0.01])
+    @pytest.mark.parametrize("feedforward", [False, True])
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_bytes_equal_write_csv_of_integrate(
+        self, scenario, feedforward, hold_dt, stride, tmp_path, leaves_no_child_or_fd,
+    ):
+        # 1801 steps: at stride 7 the 258 rows end one block in with 2 rows
+        cfg = make_config(scenario=scenario, o_ref0=0.4, feedforward=feedforward,
+                          hold_dt=hold_dt, stride=stride, t_end=1.8)
+        with leaves_no_child_or_fd():
+            traj = streamed(cfg, tmp_path / "streamed")
+        expected = integrate(cfg)
+        for column in TRAJECTORY_COLUMNS:
+            assert bits(getattr(traj, column)) == bits(getattr(expected, column)), column
+        written(expected, cfg, tmp_path / "written")
+        assert_same_files(tmp_path / "streamed", tmp_path / "written")
+
+    @pytest.mark.parametrize("failure, overrides", [
+        # diverges after 526 rows, two blocks and 14 rows
+        (DivergenceError, dict(dt=5e-4, initial=HoopState(0.0, 0.0, 0.0, 0.0, 300.0))),
+        # the first stage's torque is -inf: only the headers
+        (ValueError, dict(initial=HoopState(0.0, 1e308, 0.0, 0.0, 0.0))),
+    ])
+    def test_failed_run_writes_the_partial_files_of_write_csv(
+        self, failure, overrides, tmp_path, leaves_no_child_or_fd,
+    ):
+        cfg = make_config(t_end=1.0, stride=1, **overrides)
+        with leaves_no_child_or_fd():
+            with pytest.raises(failure) as streaming:
+                streamed(cfg, tmp_path / "streamed")
+        with pytest.raises(failure) as plain:
+            integrate(cfg)
+        assert str(streaming.value) == str(plain.value)
+        written(plain.value.trajectory, cfg, tmp_path / "written")
+        assert_same_files(tmp_path / "streamed", tmp_path / "written")
+
+    def test_interrupt_writes_the_rows_recorded_before_it(
+        self, monkeypatch, tmp_path, leaves_no_child_or_fd,
+    ):
+        cfg = make_config(scenario="sinusoid", t_end=1.0, stride=1)
+        fused = closed_loop
+
+        def interrupted(cfg):
+            stage, calls = fused(cfg), [0]
+
+            def stage_until_ctrl_c(*args):
+                calls[0] += 1
+                if calls[0] > 4 * 300:  # k1 of step 300, before its row is recorded
+                    raise KeyboardInterrupt
+                return stage(*args)
+
+            return stage_until_ctrl_c
+
+        monkeypatch.setattr(sim, "closed_loop", interrupted)
+        with leaves_no_child_or_fd():
+            with pytest.raises(KeyboardInterrupt):
+                streamed(cfg, tmp_path / "streamed")
+        monkeypatch.undo()
+        rows = len((tmp_path / "streamed" / "trajectory.csv").read_text().splitlines()) - 1
+        assert rows == 300  # a whole block and 44 rows
+        full = integrate(cfg)
+        head = Trajectory(**{column: getattr(full, column)[:rows] for column in TRAJECTORY_COLUMNS})
+        written(head, cfg, tmp_path / "written")
+        assert_same_files(tmp_path / "streamed", tmp_path / "written")
+
+    def test_without_fork_the_same_writer_runs_in_this_process(
+        self, monkeypatch, tmp_path, leaves_no_child_or_fd,
+    ):
+        monkeypatch.delattr(os, "fork")
+        cfg = make_config(scenario="sinusoid", feedforward=True, stride=7, t_end=1.8)
+        with leaves_no_child_or_fd():
+            streamed(cfg, tmp_path / "streamed")
+        written(integrate(cfg), cfg, tmp_path / "written")
+        assert_same_files(tmp_path / "streamed", tmp_path / "written")
