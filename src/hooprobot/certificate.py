@@ -96,18 +96,15 @@ def admissible_gain_sample(
     constants: DerivedConstants,
     kappa: float,
     r_const: float = 1.0,
-    k_d_range: tuple[float, float] = (1.0, 10.0),
-    k_i_fraction: tuple[float, float] = (0.05, 0.9),
-    k_p_margin: tuple[float, float] = (1.05, 3.0),
 ) -> list[Gains]:
     """Seeded gain triples constructed to satisfy both gain conditions.
 
-    k_d is drawn uniformly, k_i as a fraction of its upper bound, and k_p as
-    a multiple of its lower threshold, so every returned triple passes
-    check_gains by construction.  The fraction range stays below 1 on
-    purpose: right at the k_i bound (with kappa near the top of its range)
-    the P_s matrix can lose definiteness even though the inequalities hold,
-    see the module docstring.
+    k_d is drawn uniformly from [1, 10), k_i as a fraction in [0.05, 0.9) of
+    its upper bound, and k_p as a multiple in [1.05, 3) of its lower
+    threshold, so every returned triple passes check_gains by construction.
+    The fraction range stays below 1 on purpose: right at the k_i bound
+    (with kappa near the top of its range) the P_s matrix can lose
+    definiteness even though the inequalities hold, see the module docstring.
     """
     import numpy as np
 
@@ -115,28 +112,24 @@ def admissible_gain_sample(
     # same order as per-triple scalar uniform(k_d), uniform(fraction),
     # uniform(margin) calls, and low + (high - low) * u is the arithmetic
     # Generator.uniform applies, so the triples are bit-identical to that loop.
-    d_lo, d_hi = k_d_range
-    f_lo, f_hi = k_i_fraction
-    m_lo, m_hi = k_p_margin
-    d_span, f_span, m_span = d_hi - d_lo, f_hi - f_lo, m_hi - m_lo
+    # Each span below is high - low exactly (10 - 1, 0.9 - 0.05, 3 - 1.05).
     triples: list[Gains] = []
     for u_d, u_f, u_m in np.random.default_rng(seed).random((count, 3)).tolist():
-        k_d = d_lo + d_span * u_d
+        k_d = 1.0 + 9.0 * u_d
         upper = k_d**3 * (1.0 - constants.delta**2) / constants.mu
-        k_i = (f_lo + f_span * u_f) * upper
+        k_i = (0.05 + 0.85 * u_f) * upper
         _, _, floor = gain_thresholds(k_d, k_i, kappa, r_const)
-        k_p = (m_lo + m_span * u_m) * floor
+        k_p = (1.05 + 1.95 * u_m) * floor
         triples.append(Gains(k_p=k_p, k_d=k_d, k_i=k_i))
     return triples
 
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Audit of one gain set: every constant, threshold, margin and flag.
+    """Audit of one gain set: every constant, threshold, margin, flag and
+    the eigenvalues of P_s and Q_s.
 
-    Eigenvalue fields are None when the report was built without inertia
-    bounds (they are needed to assemble Q_s).  Serialization is stable-order
-    key = value text, one field per line.
+    Serialization is stable-order key = value text, one field per line.
     """
 
     k_p: float
@@ -156,10 +149,10 @@ class CertificateReport:
     k_i_ok: bool
     k_p_ok: bool
     passed: bool
-    p_eigenvalues: Optional[tuple[float, float, float]] = None
-    q_eigenvalues: Optional[tuple[float, float, float]] = None
-    p_positive_definite: Optional[bool] = None
-    q_positive_definite: Optional[bool] = None
+    p_eigenvalues: tuple[float, float, float]
+    q_eigenvalues: tuple[float, float, float]
+    p_positive_definite: bool
+    q_positive_definite: bool
 
     def serialize(self) -> str:
         lines = []
@@ -199,34 +192,27 @@ def check_gains(
     mu: float,
     kappa: float,
     r_const: float = 1.0,
-    mu_min: Optional[float] = None,
-    mu_max: Optional[float] = None,
+    *,
+    mu_min: float,
+    mu_max: float,
 ) -> CertificateReport:
-    """Evaluate the two gain inequalities and report margins and flags.
+    """Evaluate the two gain inequalities and the Lyapunov matrices, and
+    report margins, flags and eigenvalues.
 
     The symbol r in the k_1/k_2 thresholds is an abstract constant of the
     general theory, not the hoop radius; it is exposed as ``r_const``
-    (default 1).  When ``mu_min``/``mu_max`` (inertia bounds over the
-    operating region) are supplied, the Lyapunov matrices are evaluated too
-    and their eigenvalues included.
+    (default 1).  ``mu_min``/``mu_max`` bound the inertia over the operating
+    region; Q_s needs them.
     """
     check_r_const(r_const)
     k_p, k_d, k_i = g.k_p, g.k_d, g.k_i
     margins = _margins(k_p, k_d, k_i, delta, mu, kappa, r_const)
-
-    p_eigs = q_eigs = None
-    p_pd = q_pd = None
-    if mu_min is not None and mu_max is not None:
-        eigs = lyapunov_matrices(g, kappa, mu_min, mu_max)
-        p_eigs = tuple(float(v) for v in eigs.p_eigenvalues)
-        q_eigs = tuple(float(v) for v in eigs.q_eigenvalues)
-        p_pd = eigs.p_positive_definite
-        q_pd = eigs.q_positive_definite
-
+    eigs = lyapunov_matrices(g, kappa, mu_min, mu_max)
     return CertificateReport(
         k_p, k_d, k_i, delta, mu, kappa, r_const, *margins,
-        p_eigenvalues=p_eigs, q_eigenvalues=q_eigs,
-        p_positive_definite=p_pd, q_positive_definite=q_pd,
+        tuple(float(v) for v in eigs.p_eigenvalues),
+        tuple(float(v) for v in eigs.q_eigenvalues),
+        eigs.p_positive_definite, eigs.q_positive_definite,
     )
 
 
@@ -237,19 +223,15 @@ def proof_matrices(
     theta_bound: float,
     mu_min: float,
     mu_max: float,
-    sigma: Optional[float] = None,
-    beta: Optional[float] = None,
-    gamma: Optional[float] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Assemble the symmetric bound matrices P_s and Q_s.
 
-    The free parameters default to the choices that make the argument work:
+    The free parameters are the choices that make the argument work:
     beta = k_i/k_d, sigma = 2 kappa k_i, gamma = k_i (alpha k_d + k_p)/k_d,
-    and alpha = k_i/k_d^2.  The alpha default is a deliberate deviation-prone
-    choice: it is the unique value annihilating the (2,3) entry of Q_s, which
-    maximizes diagonal dominance, but nothing in the theory forces it.  Any
-    of the four can be overridden, e.g. zeroing all cross terms makes P_s
-    diagonal for sanity checks.
+    and, when ``alpha`` is None, alpha = k_i/k_d^2.  That alpha is a
+    deliberate deviation-prone choice: it is the unique value annihilating
+    the (2,3) entry of Q_s, which maximizes diagonal dominance, but nothing
+    in the theory forces it.
     """
     import numpy as np
 
@@ -258,7 +240,6 @@ def proof_matrices(
         raise ValueError(f"theta_bound must be positive, got {theta_bound!r}")
     p, q = _bound_entries(
         g.k_p, g.k_d, g.k_i, alpha, kappa, theta_bound, 1.0 - mu_min / mu_max, mu_max,
-        sigma=sigma, beta=beta, gamma=gamma,
     )
     p_s, q_s = np.array(p), np.array(q)
     _check_finite(p_s, q_s)
@@ -286,9 +267,6 @@ def _bound_entries(
     theta_bound: float,
     delta: float,
     mu_max: float,
-    sigma: Optional[float] = None,
-    beta: Optional[float] = None,
-    gamma: Optional[float] = None,
 ) -> tuple[list[list[float]], list[list[float]]]:
     """Rows of P_s and Q_s in Python floats; ``delta`` is 1 - mu_min/mu_max.
 
@@ -298,12 +276,9 @@ def _bound_entries(
     """
     if alpha is None:
         alpha = k_i / k_d**2
-    if beta is None:
-        beta = k_i / k_d
-    if sigma is None:
-        sigma = 2.0 * kappa * k_i
-    if gamma is None:
-        gamma = k_i * (alpha * k_d + k_p) / k_d
+    beta = k_i / k_d
+    sigma = 2.0 * kappa * k_i
+    gamma = k_i * (alpha * k_d + k_p) / k_d
     p = [
         [gamma, -sigma, -beta],
         [-sigma, k_p / theta_bound, -alpha],
@@ -327,7 +302,7 @@ class LyapunovEigs(NamedTuple):
 
 def lyapunov_matrices(g: Gains, kappa: float, mu_min: float, mu_max: float) -> LyapunovEigs:
     """Eigenvalues and definiteness flags of the bound matrices P_s and Q_s,
-    with ``proof_matrices``' default free parameters and theta_bound 1."""
+    with ``proof_matrices``' default alpha and theta_bound 1."""
     import numpy as np
 
     p_s, q_s = proof_matrices(g, None, kappa, 1.0, mu_min, mu_max)
@@ -356,8 +331,7 @@ def certify_gains(
     mu_min: float,
     mu_max: float,
 ) -> list[CertificateReport]:
-    """``check_gains`` with inertia bounds for many triples: the reports
-    equal it field for field.
+    """``check_gains`` for many triples: the reports equal it field for field.
 
     Works through ``CHUNK`` triples at a time: the matrix entries and margins
     are the same Python float arithmetic as the one-triple path, and each
@@ -402,7 +376,6 @@ def lyapunov_monitor(
     trajectory,
     g: Gains,
     kappa: float,
-    alpha: Optional[float] = None,
     z_floor: float = 0.0,
 ) -> MonitorResult:
     """Evaluate the candidate Lyapunov function along a recorded trajectory.
@@ -418,7 +391,7 @@ def lyapunov_monitor(
     not reported).
     """
     k_p, k_d, k_i = g.k_p, g.k_d, g.k_i
-    a = k_i / k_d**2 if alpha is None else alpha
+    a = k_i / k_d**2
     b = k_i / k_d
     s = 2.0 * kappa * k_i
     c = k_i * (a * k_d + k_p) / k_d

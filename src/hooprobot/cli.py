@@ -330,7 +330,7 @@ def _certificate_inputs(cfg: dict[str, dict[str, str]], args: argparse.Namespace
         raise ConfigError(f"kappa must be finite, got {args.kappa!r}")
     i_max = believed.rolling_inertia
     i_min = i_max - believed.inertia_dip
-    return believed, gains, constants, kappa, (i_min, i_max)
+    return gains, constants, kappa, (i_min, i_max)
 
 
 @contextmanager
@@ -345,7 +345,7 @@ def _evaluating_certificate():
 
 
 def cmd_check_gains(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> int:
-    _, gains, constants, kappa, (i_min, i_max) = _certificate_inputs(cfg, args)
+    gains, constants, kappa, (i_min, i_max) = _certificate_inputs(cfg, args)
 
     if args.sweep is not None:
         name, spec_text = args.sweep
@@ -362,6 +362,10 @@ def cmd_check_gains(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) ->
         values = []
         value = start
         while value <= stop + 1e-12:
+            if value + step == value:
+                raise ConfigError(
+                    f"bad sweep range {spec_text!r}, the step does not change {value!r}"
+                )
             values.append(value)
             value += step
         try:
@@ -412,7 +416,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> int:
         raise ConfigError(
             f"--count and --jobs must be >= 1, got {args.count} and {args.jobs}"
         )
-    _, _, constants, kappa, (i_min, i_max) = _certificate_inputs(cfg, args)
+    _, constants, kappa, (i_min, i_max) = _certificate_inputs(cfg, args)
     with _evaluating_certificate():
         triples = certificate.admissible_gain_sample(
             args.count, args.seed, constants, kappa, r_const=args.r_const,

@@ -10,10 +10,6 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-DEFAULT_RAMP_SPEED = 0.2
-DEFAULT_SIN_AMPLITUDE = 0.3
-DEFAULT_SIN_RATE = 0.5
-
 
 class ReferenceSample(NamedTuple):
     """Reference position (m), velocity (m/s) and acceleration (m/s^2) at one instant."""
@@ -36,16 +32,12 @@ def constant(o0: float) -> Reference:
     return lambda t: sample
 
 
-def ramp(o0: float, v: float = DEFAULT_RAMP_SPEED) -> Reference:
+def ramp(o0: float, v: float) -> Reference:
     """Constant-velocity reference starting from ``o0``."""
     return lambda t: _sample(ReferenceSample, (o0 + v * t, v, 0.0))
 
 
-def sinusoid(
-    o0: float,
-    amplitude: float = DEFAULT_SIN_AMPLITUDE,
-    rate: float = DEFAULT_SIN_RATE,
-) -> Reference:
+def sinusoid(o0: float, amplitude: float, rate: float) -> Reference:
     """Sinusoidal velocity reference: o_dot_ref = amplitude * sin(rate * t).
 
     The position starts at ``o0`` with zero initial velocity and drifts
@@ -68,26 +60,16 @@ def sinusoid(
     return sample
 
 
-# Each scenario's sampler and the keywords it takes after the start position.
-_SAMPLERS = {
-    "fixed_point": (constant, ()),
-    "ramp": (ramp, ("v",)),
-    "sinusoid": (sinusoid, ("amplitude", "rate")),
-}
+_SAMPLERS = {"fixed_point": constant, "ramp": ramp, "sinusoid": sinusoid}
 SCENARIOS = tuple(_SAMPLERS)
 
 
-def make_reference(scenario: str, o0: float = 0.0, **params: float) -> Reference:
+def make_reference(scenario: str, o0: float, **params: float) -> Reference:
     """Build the reference for a scenario id ("fixed_point", "ramp", "sinusoid").
 
-    ``params`` may carry ``v`` for the ramp and ``amplitude``/``rate`` for the
-    sinusoid; unknown keys for the chosen scenario are rejected so config
-    typos do not pass silently.
+    ``params`` carries ``v`` for the ramp and ``amplitude``/``rate`` for the
+    sinusoid; the sampler rejects a keyword it does not take with TypeError.
     """
     if scenario not in _SAMPLERS:
         raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
-    sampler, allowed = _SAMPLERS[scenario]
-    extra = set(params) - set(allowed)
-    if extra:
-        raise ValueError(f"scenario {scenario!r} does not take parameters {sorted(extra)}")
-    return sampler(o0, **params)
+    return _SAMPLERS[scenario](o0, **params)

@@ -65,7 +65,7 @@ class NominalParams:
         return self.rolling_inertia - self.inertia_dip * math.cos(theta_a) ** 2
 
 
-def nominal_from_true(p: PlantParams, factor: float = 1.5) -> NominalParams:
+def nominal_from_true(p: PlantParams, factor: float) -> NominalParams:
     """Mismatched belief: scale each mass property of ``p`` by ``factor``.
 
     The hoop radius and gravity are treated as known (directly measurable),

@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -26,7 +26,7 @@ from hooprobot.cli import (
 )
 from hooprobot.controller import Gains
 from hooprobot.regularizer import nominal_from_true
-from hooprobot.sim import CSV_HEADER, Trajectory
+from hooprobot.sim import CSV_HEADER, SimConfig, Trajectory
 
 
 OUTPUT_FIGURES = {
@@ -128,6 +128,14 @@ class TestBuilders:
         assert cfg.t_end == 60.0
         # the believed parameters carry the configured 1.5x mismatch
         assert cfg.nominal.m_a == pytest.approx(1.5 * cfg.plant.m_a)
+
+    def test_schema_defaults_equal_sim_config_defaults(self):
+        # SCHEMA and SimConfig each hold the run defaults; perfbench builds
+        # its runs from SimConfig's, the CLI from SCHEMA's
+        built = build_sim_config(load_config(None))
+        plain = SimConfig(plant=built.plant, nominal=built.nominal, gains=built.gains)
+        for f in fields(SimConfig):
+            assert getattr(built, f.name) == getattr(plain, f.name), f.name
 
     def test_bad_value_becomes_config_error(self):
         cfg = load_config(None)
@@ -474,6 +482,7 @@ class TestCheckGainsCommand:
     @pytest.mark.parametrize("spec", [
         "90:100:0", "90:100:-5", "90:100:nan", "nan:100:5", "90:nan:5",
         "90:inf:5", "90:-inf:5", "90:100:inf", "0:10:5",
+        "1e16:2e16:1",  # the step is below half an ulp of the start
     ])
     def test_sweep_rejects_empty_or_endless_range(self, spec, capsys):
         assert main(["check-gains", "--sweep", "kp", spec]) == 2

@@ -25,3 +25,13 @@ def test_every_traced_target_resolves(monkeypatch):
             missing.append(f"{layer}.{attr}")
     assert not missing
     assert set(layer for layer, _ in spans.TARGETS) <= set(spans.LAYERS)
+
+
+def test_sim_binds_the_wrapped_make_reference():
+    # Tracer.install wraps reference.make_reference and rebinds every module
+    # name bound to that same object; sim's name is the one runs call, so
+    # without it the reference.sample spans would read 0
+    reference = importlib.import_module("hooprobot.reference")
+    sim = importlib.import_module("hooprobot.sim")
+    assert callable(getattr(reference, "make_reference", None))
+    assert sim.make_reference is reference.make_reference

@@ -6,9 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hooprobot.reference import (
-    DEFAULT_RAMP_SPEED,
-    DEFAULT_SIN_AMPLITUDE,
-    DEFAULT_SIN_RATE,
     SCENARIOS,
     ReferenceSample,
     constant,
@@ -95,9 +92,9 @@ def test_samples_equal_the_plain_constructions_bitwise(o0, v, amplitude, rate, t
 
 def test_sinusoid_rejects_bad_rate():
     with pytest.raises(ValueError, match="rate"):
-        sinusoid(0.0, rate=0.0)
+        sinusoid(0.0, 0.3, rate=0.0)
     with pytest.raises(ValueError, match="rate"):
-        sinusoid(0.0, rate=-0.5)
+        sinusoid(0.0, 0.3, rate=-0.5)
 
 
 @pytest.mark.parametrize("scenario,params", [
@@ -118,21 +115,15 @@ def test_derivatives_are_consistent(scenario, params):
         assert mid.o_ddot_ref == pytest.approx(fd_acc, rel=1e-6, abs=1e-8)
 
 
-def test_make_reference_defaults():
-    assert make_reference("ramp", 0.0)(1.0).o_dot_ref == DEFAULT_RAMP_SPEED
-    sample = make_reference("sinusoid", 0.0)(0.0)
-    assert sample.o_ddot_ref == pytest.approx(DEFAULT_SIN_AMPLITUDE * DEFAULT_SIN_RATE)
-
-
 def test_make_reference_rejects_unknown_scenario():
     with pytest.raises(ValueError, match="unknown scenario"):
         make_reference("spiral", 0.0)
 
 
 def test_make_reference_rejects_foreign_parameters():
-    with pytest.raises(ValueError, match="does not take"):
+    with pytest.raises(TypeError, match="unexpected keyword argument 'v'"):
         make_reference("fixed_point", 0.0, v=0.2)
-    with pytest.raises(ValueError, match="does not take"):
-        make_reference("ramp", 0.0, amplitude=0.3)
-    with pytest.raises(ValueError, match="does not take"):
-        make_reference("sinusoid", 0.0, v=0.1)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'amplitude'"):
+        make_reference("ramp", 0.0, v=0.2, amplitude=0.3)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'v'"):
+        make_reference("sinusoid", 0.0, amplitude=0.3, rate=0.5, v=0.1)
