@@ -359,31 +359,37 @@ def cmd_check_gains(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) ->
             )
         if name not in ("kp", "kd", "ki"):
             raise ConfigError(f"can only sweep kp, kd or ki, not {name!r}")
-        values = []
-        value = start
+        # Count the values first, storing none; they only grow from the start,
+        # so an invalid gain is in the first chunk, checked before any output.
+        count, value = 0, start
         while value <= stop + 1e-12:
             if value + step == value:
                 raise ConfigError(
                     f"bad sweep range {spec_text!r}, the step does not change {value!r}"
                 )
-            values.append(value)
+            count += 1
             value += step
-        try:
-            candidates = [
-                replace(gains, **{f"k_{name[1]}": value}) for value in values
-            ]
-        except ValueError as exc:
-            raise ConfigError(f"bad sweep range {spec_text!r}: {exc}") from exc
-        with _evaluating_certificate():
-            reports = certificate.certify_gains(
-                candidates, constants.delta, constants.mu, kappa, args.r_const, i_min, i_max,
-            )
-        print(f"{name}\tk_i_margin\tk_p_margin\tlambda_min_P\tpassed")
-        for value, report in zip(values, reports):
-            print(
-                f"{value:g}\t{report.k_i_margin:.6g}\t{report.k_p_margin:.6g}"
-                f"\t{report.p_eigenvalues[0]:.6g}\t{report.passed}"
-            )
+        value = start
+        for first in range(0, count or 1, certificate.CHUNK):
+            values = []
+            for _ in range(min(certificate.CHUNK, count - first)):
+                values.append(value)
+                value += step
+            try:
+                candidates = [replace(gains, **{f"k_{name[1]}": v}) for v in values]
+            except ValueError as exc:
+                raise ConfigError(f"bad sweep range {spec_text!r}: {exc}") from exc
+            with _evaluating_certificate():
+                reports = certificate.certify_gains(
+                    candidates, constants.delta, constants.mu, kappa, args.r_const, i_min, i_max,
+                )
+            if first == 0:
+                print(f"{name}\tk_i_margin\tk_p_margin\tlambda_min_P\tpassed")
+            for v, report in zip(values, reports):
+                print(
+                    f"{v:g}\t{report.k_i_margin:.6g}\t{report.k_p_margin:.6g}"
+                    f"\t{report.p_eigenvalues[0]:.6g}\t{report.passed}"
+                )
         return 0
 
     with _evaluating_certificate():

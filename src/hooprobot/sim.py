@@ -8,11 +8,13 @@ between sampling instants instead).  Everything is plain-float arithmetic in
 a fixed order, so identical configurations produce bit-identical
 trajectories.
 
-Each RK4 stage is one call of the fused kernel that ``closed_loop`` builds:
-the controller, the regularizer and the plant derivative in one function,
-bit-identical to the composition of the modular functions in
-``controller``, ``regularizer`` and ``plant``, which stay its readable
-reference and its test oracle.
+The closed-loop stage (controller, regularizer and plant derivative in one
+body) is held once, as a source template, bit-identical to the composition
+of the modular functions in ``controller``, ``regularizer`` and ``plant``,
+its readable reference and test oracle; squares stay ``**2`` as there.  It
+is compiled once per process for each combination of flags: as the stage
+function of ``closed_loop``, and inlined at the four stages of each step of
+``integrate``'s RK4 loop, which so makes no stage calls.
 
 The energy and Lagrangian-oracle routines are deliberately built from the
 frame geometry rather than the closed-form reduced equations, so they can
@@ -29,13 +31,17 @@ writers share one formatting loop, so their files are byte-identical.
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 import os
+import re
 import signal
 from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass, field as dc_field
 from itertools import chain
+from textwrap import indent
 from typing import Callable, Optional
 
 from .controller import Gains
@@ -401,6 +407,120 @@ def lagrangian_oracle(
     return omega_dot + p.delta_s / inertia, omega_a_dot + p.delta_a / inertia
 
 
+# The closed-loop stage, held once as source: ``_stage_source`` assembles it
+# for a run's flags, ``closed_loop`` compiles it as a function and ``_run``
+# inlines it at each RK4 stage.  It reads the state o, omega, theta_a,
+# omega_a, o_i and the sample o_ref, o_dot_ref, o_ddot_ref, and sets
+# omega_dot, omega_a_dot, o_i_rate, tau_u and tilde.  Squares stay ``**2``
+# as in the modular functions: glibc's pow(x, 2.0) differs from x*x in the
+# last bit for 2485 of 3,000,000 doubles drawn from U(-10, 10) (glibc 2.36,
+# x86-64), so x*x would break the bit-equality with them.  ``_CONSTANTS``
+# reads the true plant p, the belief n and the gains g once per run.
+_CONSTANTS = """\
+sin, cos, isfinite = math.sin, math.cos, math.isfinite
+beta, neg_r = p.beta, -p.r
+rolling, dip = p.rolling_inertia, p.inertia_dip
+amp, pend = p.coupling_amp, p.pendulum_inertia
+m_a, grav, l = p.m_a, p.g, p.l
+delta_s, delta_a = p.delta_s, p.delta_a
+spin_incline = p.r * p.m_total * p.g * sin(p.beta)
+spin_hang = p.m_a**2 * p.r * p.l**2 * p.g / p.pendulum_inertia
+act_quad = -(p.coupling_amp**2 / p.pendulum_inertia)
+n_r, n_rolling, n_dip, n_amp = n.r, n.rolling_inertia, n.inertia_dip, n.coupling_amp
+shaping = n.m_a**2 * n.r * n.l**2 * n.g / (2.0 * n.pendulum_inertia)
+k_p, k_d, k_i = g.k_p, g.k_d, g.k_i
+"""
+_TRIG = """\
+cos_a = cos(theta_a)
+sin_a = sin(theta_a)
+sin_2a = sin(2.0 * theta_a)
+omega_a_sq = omega_a**2
+"""
+_INTEGRATOR = """\
+eta_e = -(o - o_ref)
+n_inertia = n_rolling - n_dip * cos_a**2
+slope = n_dip * sin_2a
+o_i_rate = eta_e - slope / (2.0 * n_inertia) * omega_a * o_i
+"""
+_PID = """\
+omega_e = omega + o_dot_ref / n_r
+tilde = -n_inertia * (k_p * eta_e + k_d * omega_e + k_i * o_i)
+tau_u = (
+    -(0.5 * slope * omega_a * omega_e)
+    + n_amp * sin_a * omega_a_sq
+    + shaping * sin_2a
+    + tilde
+)
+"""
+_FEEDFORWARD = """\
+tau_ref = n_inertia * (-o_ddot_ref / n_r)
+tau_u += tau_ref
+tilde += tau_ref
+"""
+_PLANT = """\
+if not isfinite(tau_u):
+    raise ValueError(f"control torque must be finite, got {tau_u!r}")
+inertia = rolling - dip * cos_a**2
+sin_hang = sin(theta_a + beta)
+coupling = amp * cos_a
+denom = pend - coupling
+if abs(denom) < COUPLING_SINGULARITY_TOL:
+    coupling_gain(p, theta_a)  # raises the plant's SingularCouplingError
+coupling_ratio = coupling / pend
+tau_spin = spin_incline - spin_hang * cos_a * sin_hang
+tau_act = coupling_ratio * tau_spin - inertia * m_a * grav * l * sin_hang / pend
+omega_dot = (-(amp * sin_a * omega_a_sq) + tau_spin + delta_s + tau_u) / inertia
+omega_a_dot = (
+    act_quad * sin_a * cos_a * omega_a_sq
+    + tau_act
+    + delta_a
+    + (coupling_ratio - inertia / denom) * tau_u
+) / inertia
+"""
+
+
+def _stage_source(open_loop: bool, feedforward: bool, torque: str, suffix: str = "") -> str:
+    """One instance of the stage.  A closed loop's ``torque`` is "fresh",
+    "held" (unpacked from ``held``) or "either" (by ``held is None``); a
+    ``suffix`` goes on the names of the state it reads and the rates it
+    sets, so that instances can follow one another in one function."""
+    fresh = _PID + (_FEEDFORWARD if feedforward else "")
+    held = "tau_u, tilde = held\n"
+    if open_loop:
+        control = "tau_u = tilde = o_i_rate = 0.0\n"
+    elif torque == "either":
+        control = f"{_INTEGRATOR}if held is None:\n{indent(fresh, '    ')}else:\n    {held}"
+    else:
+        control = _INTEGRATOR + (fresh if torque == "fresh" else held)
+    source = _TRIG + control + _PLANT
+    if suffix:
+        names = r"\b(o|omega|theta_a|omega_a|o_i|omega_dot|omega_a_dot|o_i_rate)\b"
+        source = re.sub(names, rf"\g<1>{suffix}", source)
+    return source
+
+
+def _define(name: str, source: str, flags: str) -> Callable:
+    """The function ``name`` that ``source`` defines; tracebacks show its lines."""
+    filename = f"<hooprobot.sim {name} {flags}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace[name]
+
+
+@functools.cache
+def _stage_factory(open_loop: bool, feedforward: bool) -> Callable:
+    sample = "" if open_loop else "o_ref, o_dot_ref, o_ddot_ref = ref\n"
+    source = (
+        "def factory(p, n, g):\n" + indent(_CONSTANTS, "    ")
+        + "    def stage(ref, y, held):\n        theta, o, omega, theta_a, omega_a, o_i = y\n"
+        + indent(sample + _stage_source(open_loop, feedforward, "either"), " " * 8)
+        + "        rates = (omega, neg_r * omega, omega_dot, omega_a, omega_a_dot, o_i_rate)\n"
+        + "        return rates, tau_u, tilde\n    return stage\n"
+    )
+    return _define("factory", source, f"open_loop={open_loop} feedforward={feedforward}")
+
+
 def closed_loop(cfg: SimConfig) -> Callable[[ReferenceSample, tuple, Optional[tuple]], tuple]:
     """The closed-loop right-hand side of ``cfg`` as one fused stage function.
 
@@ -416,85 +536,18 @@ def closed_loop(cfg: SimConfig) -> Callable[[ReferenceSample, tuple, Optional[tu
     integrator rate is evaluated, and the pair is returned as given.  An
     open loop gives zero torque and a zero integrator rate.
 
-    This is ``controller.step`` (error, PID, ``regularize``,
-    ``integrator_rate``) followed by ``plant.derivative``, with the
-    parameter constants read once per run and cos, sin, sin 2 of theta_a and
-    sin(theta_a + beta) computed once per stage.  Every
-    expression keeps the operand order of those functions, and a constant
-    is hoisted only where it is a left-to-right prefix of one, so the rates
-    and torques equal the modular composition bit for bit; the tests hold
-    the two against each other.  The checks are the same as well: a
-    non-finite torque raises ValueError, a vanishing input-coupling
-    denominator SingularCouplingError.
+    The body is the module's one stage template, which ``integrate``'s
+    loop inlines at each RK4 stage: ``controller.step`` (error, PID,
+    ``regularize``, ``integrator_rate``) then ``plant.derivative``, with the
+    constants read once per run and cos, sin, sin 2 of theta_a and
+    sin(theta_a + beta) once per stage.  Every expression keeps the operand
+    order of those functions, ``**2`` included, and a constant is hoisted
+    only where it is a left-to-right prefix of one, so the rates and torques
+    equal the modular composition bit for bit, as the tests check.  Its
+    checks are the same too: a non-finite torque raises ValueError, a
+    vanishing input-coupling denominator SingularCouplingError.
     """
-    p, n, g = cfg.plant, cfg.nominal, cfg.gains
-    sin, cos, isfinite = math.sin, math.cos, math.isfinite
-    open_loop, feedforward = cfg.open_loop, cfg.feedforward
-    # true plant (plant.gravity_torques, coupling_gain, derivative)
-    beta, neg_r = p.beta, -p.r
-    rolling, dip = p.rolling_inertia, p.inertia_dip
-    amp, pend = p.coupling_amp, p.pendulum_inertia
-    m_a, grav, l = p.m_a, p.g, p.l
-    delta_s, delta_a = p.delta_s, p.delta_a
-    spin_incline = p.r * p.m_total * p.g * sin(p.beta)
-    spin_hang = p.m_a**2 * p.r * p.l**2 * p.g / p.pendulum_inertia
-    act_quad = -(p.coupling_amp**2 / p.pendulum_inertia)
-    # believed parameters and gains (controller, regularizer)
-    n_r, n_rolling, n_dip, n_amp = n.r, n.rolling_inertia, n.inertia_dip, n.coupling_amp
-    shaping = n.m_a**2 * n.r * n.l**2 * n.g / (2.0 * n.pendulum_inertia)
-    k_p, k_d, k_i = g.k_p, g.k_d, g.k_i
-
-    def stage(ref: ReferenceSample, y: tuple, held: Optional[tuple]) -> tuple:
-        theta, o, omega, theta_a, omega_a, o_i = y
-        cos_a = cos(theta_a)
-        sin_a = sin(theta_a)
-        sin_2a = sin(2.0 * theta_a)
-        omega_a_sq = omega_a**2
-        if open_loop:
-            tau_u = tilde = o_i_rate = 0.0
-        else:
-            o_ref, o_dot_ref, o_ddot_ref = ref
-            eta_e = -(o - o_ref)
-            n_inertia = n_rolling - n_dip * cos_a**2
-            slope = n_dip * sin_2a
-            o_i_rate = eta_e - slope / (2.0 * n_inertia) * omega_a * o_i
-            if held is None:
-                omega_e = omega + o_dot_ref / n_r
-                tilde = -n_inertia * (k_p * eta_e + k_d * omega_e + k_i * o_i)
-                tau_u = (
-                    -(0.5 * slope * omega_a * omega_e)
-                    + n_amp * sin_a * omega_a_sq
-                    + shaping * sin_2a
-                    + tilde
-                )
-                if feedforward:
-                    tau_ref = n_inertia * (-o_ddot_ref / n_r)
-                    tau_u += tau_ref
-                    tilde += tau_ref
-            else:
-                tau_u, tilde = held
-        if not isfinite(tau_u):
-            raise ValueError(f"control torque must be finite, got {tau_u!r}")
-        inertia = rolling - dip * cos_a**2
-        sin_hang = sin(theta_a + beta)
-        coupling = amp * cos_a
-        denom = pend - coupling
-        if abs(denom) < COUPLING_SINGULARITY_TOL:
-            coupling_gain(p, theta_a)  # raises the plant's SingularCouplingError
-        coupling_ratio = coupling / pend
-        tau_spin = spin_incline - spin_hang * cos_a * sin_hang
-        tau_act = coupling_ratio * tau_spin - inertia * m_a * grav * l * sin_hang / pend
-        omega_dot = (-(amp * sin_a * omega_a_sq) + tau_spin + delta_s + tau_u) / inertia
-        omega_a_dot = (
-            act_quad * sin_a * cos_a * omega_a_sq
-            + tau_act
-            + delta_a
-            + (coupling_ratio - inertia / denom) * tau_u
-        ) / inertia
-        rates = (omega, neg_r * omega, omega_dot, omega_a, omega_a_dot, o_i_rate)
-        return rates, tau_u, tilde
-
-    return stage
+    return _stage_factory(cfg.open_loop, cfg.feedforward)(cfg.plant, cfg.nominal, cfg.gains)
 
 
 def integrate(cfg: SimConfig) -> Trajectory:
@@ -508,10 +561,10 @@ def integrate(cfg: SimConfig) -> Trajectory:
 
     Each RK4 step samples the reference once per distinct time: the sample
     at t serves k1 and the recorded row, the one at t + dt/2 serves k2 and
-    k3, the one at t + dt serves k4.  An open-loop stage ignores its sample,
-    so there k2, k3 and k4 share one fixed sample and only t is sampled per
-    step.  A recorded row takes its energy from the plant constants read
-    once per run; ``energy`` is its oracle, equal bit for bit.
+    k3, the one at t + dt serves k4.  An open loop, whose stages ignore the
+    sample, samples only at t.  A recorded row takes its energy from the
+    plant constants read once per run; ``energy`` is its oracle, equal bit
+    for bit.
 
     A ValueError from a stage (a non-finite torque, a singular input
     coupling) carries the rows recorded before it as ``trajectory``, as a
@@ -570,20 +623,79 @@ def integrate_to_csv(cfg: SimConfig, path, figures=()) -> Trajectory:
     return traj
 
 
+# The RK4 loop of ``_run``: the state in six floats, the stage template at
+# k1 and, under the suffixes _2 to _4, at k2 to k4.  ``_RATES`` pairs each
+# state variable with its rate; no stage reads theta.
+_LOOP = """\
+def loop(p, n, g, reference, record, flush, traj, dt, steps, stride, hold_steps,
+         theta, o, omega, theta_a, omega_a, o_i):
+{constants}
+    half, sixth, limit = dt / 2.0, dt / 6.0, DIVERGENCE_LIMIT
+    held = None  # hold mode: the (tau_u, tilde) frozen at the last instant
+    for i in range(steps + 1):
+        t = i * dt
+        ref = reference(t)
+{k1}
+        if i % stride == 0:
+            record(t, ref, (theta, o, omega, theta_a, omega_a, o_i), tau_u, tilde)
+            if flush is not None and len(traj.t) % CSV_CHUNK == 0:
+                flush()
+        if i == steps:
+            break
+{k2_to_k4}
+        if not ({bounded}):  # a NaN fails as well
+            traj.diverged_at = t + dt
+            raise DivergenceError(t + dt, (theta, o, omega, theta_a, omega_a, o_i), traj)
+{advance}
+"""
+_RATES = (("theta", "omega"), ("o", "o_rate"), ("omega", "omega_dot"),
+          ("theta_a", "omega_a"), ("omega_a", "omega_a_dot"), ("o_i", "o_i_rate"))
+
+
+def _loop_source(open_loop: bool, feedforward: bool, hold: bool) -> str:
+    """``_run``'s loop for one combination of flags.  An open loop samples
+    the reference only at t; in hold mode k1 takes a fresh or the held
+    torque and k2 to k4 the held one.  k1 runs once more for a recorded last
+    row, unless a torque is held; the sums keep the tuple loop's order."""
+    sample = "" if open_loop else "o_ref, o_dot_ref, o_ddot_ref = "
+    k1 = indent(_stage_source(open_loop, feedforward, "either" if hold else "fresh"), "    ")
+    if hold:
+        k1 = ("if i % hold_steps == 0:\n    held = None\n"
+              f"if i < steps or i % stride == 0 and held is None:\n{k1}    held = (tau_u, tilde)\n")
+    else:
+        k1 = f"if i < steps or i % stride == 0:\n{k1}"
+    stages = []
+    for k, at, step in ((2, "t + half", "half"), (3, None, "half"), (4, "t + dt", "dt")):
+        last = f"_{k - 1}" if k > 2 else ""
+        stages.append(
+            (f"{sample}reference({at})\n" if sample and at else "")
+            + f"o_rate{last} = neg_r * omega{last}\n"
+            + "".join(f"{x}_{k} = {x} + {step} * {rate}{last}\n" for x, rate in _RATES[1:])
+            + _stage_source(open_loop, feedforward, "held" if hold else "fresh", f"_{k}")
+        )
+    stages.append("o_rate_4 = neg_r * omega_4\n")
+    stages += [f"{x}_n = {x} + sixth * ({r} + 2.0 * {r}_2 + 2.0 * {r}_3 + {r}_4)\n"
+               for x, r in _RATES]
+    return _LOOP.format(
+        constants=indent(_CONSTANTS, "    ").rstrip("\n"),
+        k1=indent((sample and sample + "ref\n") + k1, " " * 8).rstrip("\n"),
+        k2_to_k4=indent("".join(stages), " " * 8).rstrip("\n"),
+        bounded=" and ".join(f"-limit <= {x}_n <= limit" for x, _ in _RATES),
+        advance="\n".join(f"        {x} = {x}_n" for x, _ in _RATES),
+    )
+
+
+@functools.cache
+def _loop(open_loop: bool, feedforward: bool, hold: bool) -> Callable:
+    flags = f"open_loop={open_loop} feedforward={feedforward} hold={hold}"
+    return _define("loop", _loop_source(open_loop, feedforward, hold), flags)
+
+
 def _run(cfg: SimConfig, traj: Trajectory, flush: Optional[Callable[[], None]] = None) -> None:
     """The RK4 loop of ``integrate``, recording into ``traj``; ``flush()``,
     when given, runs after every ``CSV_CHUNK``-th recorded row."""
     p, n = cfg.plant, cfg.nominal
-    reference = cfg.reference()
-    if cfg.open_loop:
-        fixed = reference(0.0)
-        stage_reference = lambda _t: fixed
-    else:
-        stage_reference = reference
-    stage = closed_loop(cfg)
     dt = cfg.dt
-    steps = int(round(cfg.t_end / dt))
-    stride = cfg.stride
     # an open loop has no torque to hold
     hold = cfg.hold_dt is not None and not cfg.open_loop
     hold_steps = max(1, int(round(cfg.hold_dt / dt))) if hold else None
@@ -629,57 +741,9 @@ def _run(cfg: SimConfig, traj: Trajectory, flush: Optional[Callable[[], None]] =
         put_tilde(tilde_tau_u)
         put_energy(ke + pe)
 
-    y = (
-        cfg.initial.theta, cfg.initial.o, cfg.initial.omega,
-        cfg.initial.theta_a, cfg.initial.omega_a, 0.0,
+    s = cfg.initial
+    _loop(cfg.open_loop, cfg.feedforward, hold)(
+        p, n, cfg.gains, cfg.reference(), record, flush, traj,
+        dt, int(round(cfg.t_end / dt)), cfg.stride, hold_steps,
+        s.theta, s.o, s.omega, s.theta_a, s.omega_a, 0.0,
     )
-    held = None  # hold mode: the (tau_u, tilde_tau_u) frozen at the last instant
-    half = dt / 2.0
-    sixth = dt / 6.0
-    limit = DIVERGENCE_LIMIT
-    for i in range(steps + 1):
-        t = i * dt
-        ref = reference(t)
-        if hold_steps is not None and i % hold_steps == 0:
-            held = None  # sample a fresh torque at this instant
-        if i < steps:
-            k1, tau_u, tilde_tau_u = stage(ref, y, held)
-            if hold_steps is not None:
-                held = (tau_u, tilde_tau_u)
-        elif i % stride == 0 and held is None:
-            _, tau_u, tilde_tau_u = stage(ref, y, None)  # no k1 at the last sample
-        if i % stride == 0:
-            record(t, ref, y, tau_u, tilde_tau_u)
-            if flush is not None and len(traj.t) % CSV_CHUNK == 0:
-                flush()
-        if i == steps:
-            break
-        ref = stage_reference(t + half)
-        theta, o, omega, theta_a, omega_a, o_i = y
-        k1_th, k1_o, k1_w, k1_qa, k1_wa, k1_oi = k1
-        (k2_th, k2_o, k2_w, k2_qa, k2_wa, k2_oi), _, _ = stage(ref, (
-            theta + half * k1_th, o + half * k1_o, omega + half * k1_w,
-            theta_a + half * k1_qa, omega_a + half * k1_wa, o_i + half * k1_oi,
-        ), held)
-        (k3_th, k3_o, k3_w, k3_qa, k3_wa, k3_oi), _, _ = stage(ref, (
-            theta + half * k2_th, o + half * k2_o, omega + half * k2_w,
-            theta_a + half * k2_qa, omega_a + half * k2_wa, o_i + half * k2_oi,
-        ), held)
-        (k4_th, k4_o, k4_w, k4_qa, k4_wa, k4_oi), _, _ = stage(stage_reference(t + dt), (
-            theta + dt * k3_th, o + dt * k3_o, omega + dt * k3_w,
-            theta_a + dt * k3_qa, omega_a + dt * k3_wa, o_i + dt * k3_oi,
-        ), held)
-        theta_n = theta + sixth * (k1_th + 2.0 * k2_th + 2.0 * k3_th + k4_th)
-        o_n = o + sixth * (k1_o + 2.0 * k2_o + 2.0 * k3_o + k4_o)
-        omega_n = omega + sixth * (k1_w + 2.0 * k2_w + 2.0 * k3_w + k4_w)
-        theta_a_n = theta_a + sixth * (k1_qa + 2.0 * k2_qa + 2.0 * k3_qa + k4_qa)
-        omega_a_n = omega_a + sixth * (k1_wa + 2.0 * k2_wa + 2.0 * k3_wa + k4_wa)
-        o_i_n = o_i + sixth * (k1_oi + 2.0 * k2_oi + 2.0 * k3_oi + k4_oi)
-        # a NaN or an infinity fails the comparison as well
-        if not (
-            abs(theta_n) <= limit and abs(o_n) <= limit and abs(omega_n) <= limit
-            and abs(theta_a_n) <= limit and abs(omega_a_n) <= limit and abs(o_i_n) <= limit
-        ):
-            traj.diverged_at = t + dt
-            raise DivergenceError(t + dt, y, traj)
-        y = (theta_n, o_n, omega_n, theta_a_n, omega_a_n, o_i_n)

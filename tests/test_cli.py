@@ -475,6 +475,36 @@ class TestCheckGainsCommand:
                            f"{report.k_p_margin:.6g}",
                            f"{report.p_eigenvalues[0]:.6g}", str(report.passed)]
 
+    def test_long_sweep_prints_the_table_chunk_by_chunk(self, monkeypatch, capsys):
+        # the table the command printed when it certified every value at once
+        believed = nominal_from_true(build_plant(load_config(None)), 1.0)
+        constants = certificate.derived_constants(believed, 6.0)
+        i_max = believed.rolling_inertia
+        values, value = [], 0.3
+        while value <= 390.1 + 1e-12:
+            values.append(value)
+            value += 0.3
+        assert len(values) == 1300
+        reports = certificate.certify_gains(
+            [replace(build_gains(load_config(None)), k_p=v) for v in values],
+            constants.delta, constants.mu, certificate.kappa_mid(constants), 1.0,
+            i_max - believed.inertia_dip, i_max,
+        )
+        expected = "kp\tk_i_margin\tk_p_margin\tlambda_min_P\tpassed\n" + "".join(
+            f"{v:g}\t{r.k_i_margin:.6g}\t{r.k_p_margin:.6g}\t{r.p_eigenvalues[0]:.6g}"
+            f"\t{r.passed}\n" for v, r in zip(values, reports)
+        )
+        sizes, certify = [], certificate.certify_gains
+
+        def counted(triples, *args):
+            sizes.append(len(triples))
+            return certify(triples, *args)
+
+        monkeypatch.setattr(certificate, "certify_gains", counted)
+        assert main(["check-gains", "--sweep", "kp", "0.3:390.1:0.3"]) == 0
+        assert capsys.readouterr().out == expected
+        assert max(sizes) <= certificate.CHUNK and sum(sizes) == 1300
+
     def test_sweep_rejects_bad_range_argument(self, capsys):
         assert main(["check-gains", "--sweep", "kp", "1:2"]) == 2
         assert main(["check-gains", "--sweep", "kq", "1:2:1"]) == 2

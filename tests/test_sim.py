@@ -3,6 +3,7 @@ import csv
 import math
 import os
 import random
+import traceback
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,6 +38,8 @@ TRUE = PlantParams(m_h=1.0, i_h=0.021, r=0.18, m_a=3.28, i_a=0.035, l=0.14,
                    beta=math.radians(20.0))
 FLAT = PlantParams(m_h=1.0, i_h=0.021, r=0.18, m_a=3.28, i_a=0.035, l=0.14, beta=0.0)
 GAINS = Gains(k_p=16.0, k_d=7.0, k_i=4.0, k_c=0.1)
+# the PID torque of the stage template, in every instance whatever its suffix
+PID_EXPRESSION = "-n_inertia * (k_p * eta_e + k_d * omega_e + k_i * o_i"
 
 
 def make_config(plant=TRUE, mismatch=1.5, **overrides):
@@ -264,23 +267,21 @@ class TestControllerEvaluations:
         (None, 4 * 1000 + 1),  # four RK4 stages per step, plus the last sample
         (0.01, 101),  # one torque per hold instant; stages advance only o_I
     ])
-    def test_each_torque_is_computed_once(self, monkeypatch, hold_dt, expected):
-        calls = []
-        build = sim.closed_loop
-
-        def counting_closed_loop(cfg):
-            stage = build(cfg)
-
-            def counted(ref, y, held):
-                if held is None:  # the stage computes a torque only when none is held
-                    calls.append(ref)
-                return stage(ref, y, held)
-
-            return counted
-
-        monkeypatch.setattr(sim, "closed_loop", counting_closed_loop)
-        integrate(make_config(t_end=1.0, hold_dt=hold_dt))
-        assert len(calls) == expected
+    def test_each_torque_is_computed_once(self, hold_dt, expected):
+        hold = hold_dt is not None
+        copies = sim._loop_source(False, False, hold).count(PID_EXPRESSION)
+        assert sim._loop_source(True, False, False).count(PID_EXPRESSION) == 0
+        # every copy runs at each of the 1000 steps, or k1's alone at each of
+        # the 100 hold instants before the last; k1's once more for the last row
+        assert copies * (100 if hold else 1000) + 1 == expected
+        cfg = make_config(t_end=1.0, stride=1, hold_dt=hold_dt)
+        traj = integrate(cfg)
+        stage, ref_fn = closed_loop(cfg), cfg.reference()
+        for i in range(len(traj)):
+            j = i - i % 10 if hold else i  # the row of the last hold instant
+            y = tuple(getattr(traj, column)[j] for column in TRAJECTORY_COLUMNS[1:7])
+            _, tau_u, tilde = stage(ref_fn(traj.t[j]), y, None)
+            assert bits((traj.tau_u[i], traj.tilde_tau_u[i])) == bits((tau_u, tilde))
 
     @pytest.mark.parametrize("hold_dt", [None, 0.01])
     def test_reference_is_sampled_once_per_distinct_stage_time(self, monkeypatch, hold_dt):
@@ -307,7 +308,7 @@ class TestControllerEvaluations:
         assert times == expected + [1000 * dt]
 
     def test_open_loop_samples_the_reference_only_at_step_times(self, monkeypatch):
-        # the open-loop stage ignores its sample: one fixed sample serves k2, k3, k4
+        # the open-loop stage ignores its sample, so only the recorded rows take one
         cfg = make_config(scenario="sinusoid", open_loop=True, t_end=1.0)
         times = []
         build = SimConfig.reference
@@ -323,7 +324,7 @@ class TestControllerEvaluations:
 
         monkeypatch.setattr(SimConfig, "reference", counting_reference)
         integrate(cfg)
-        assert times == [0.0] + [i * cfg.dt for i in range(1001)]
+        assert times == [i * cfg.dt for i in range(1001)]
 
     def test_recorded_energy_does_not_call_energy(self, monkeypatch):
         def refuse(*args):
@@ -500,7 +501,8 @@ def stage_cases(draw):
 
 @st.composite
 def run_cases(draw):
-    """A drawn configuration and start, run for 1 to 50 steps, each recorded."""
+    """A drawn configuration and start, run for 1 to 50 steps, recorded every
+    1, 2, 3 or 7 steps."""
     dt = draw(st.sampled_from([1e-3, 2.5e-3, 0.01]))
     initial = HoopState(
         theta=draw(finite(-1.0, 1.0)), o=draw(finite(-3.0, 3.0)),
@@ -508,7 +510,8 @@ def run_cases(draw):
         omega_a=draw(finite(-3.0, 3.0)),
     )
     return draw_config(
-        draw, dt=dt, t_end=draw(st.integers(1, 50)) * dt, stride=1, initial=initial,
+        draw, dt=dt, t_end=draw(st.integers(1, 50)) * dt,
+        stride=draw(st.sampled_from([1, 2, 3, 7])), initial=initial,
         hold_dt=draw(st.none() | st.sampled_from([dt, 0.007, 0.01])),
     )
 
@@ -588,6 +591,33 @@ class TestClosedLoopStage:
         assert a.trajectory.diverged_at == b.trajectory.diverged_at
         for column in TRAJECTORY_COLUMNS:
             assert bits(getattr(a.trajectory, column)) == bits(getattr(b.trajectory, column))
+
+
+class TestCompiledLoop:
+    """The loop source is compiled once per combination of flags and holds no
+    value of a run: the constants, dt and stride come in as arguments."""
+
+    def test_a_run_between_two_equal_runs_leaves_them_equal(self):
+        flags = dict(scenario="sinusoid", feedforward=True, hold_dt=0.01, stride=1)
+        a = make_config(t_end=0.5, **flags)
+        other = PlantParams(m_h=2.0, i_h=0.05, r=0.3, m_a=1.5, i_a=0.05, l=0.2, beta=-0.3,
+                            delta_s=0.05)
+        b = SimConfig(plant=other, nominal=nominal_from_true(other, 0.8),
+                      gains=Gains(k_p=40.0, k_d=3.0, k_i=1.0), dt=2.5e-3, t_end=0.5, **flags)
+        first, between, again = integrate(a), integrate(b), integrate(a)
+        modular = modular_integrate(b)
+        assert len(between) == len(modular) != len(first)
+        for column in TRAJECTORY_COLUMNS:
+            assert bits(getattr(again, column)) == bits(getattr(first, column)), column
+            assert bits(getattr(between, column)) == bits(getattr(modular, column)), column
+
+    def test_traceback_shows_the_line_that_raised(self):
+        cfg = make_config(t_end=1.0, initial=HoopState(0.0, 1e308, 0.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="control torque must be finite") as excinfo:
+            integrate(cfg)
+        frame = traceback.extract_tb(excinfo.value.__traceback__)[-1]
+        assert frame.filename.startswith("<hooprobot.sim loop ")
+        assert frame.line == 'raise ValueError(f"control torque must be finite, got {tau_u!r}")'
 
 
 class TestTrajectoryCsv:
@@ -774,20 +804,20 @@ class TestIntegrateToCsv:
         self, monkeypatch, tmp_path, leaves_no_child_or_fd,
     ):
         cfg = make_config(scenario="sinusoid", t_end=1.0, stride=1)
-        fused = closed_loop
+        build = SimConfig.reference
 
-        def interrupted(cfg):
-            stage, calls = fused(cfg), [0]
+        def interrupted(self):
+            reference, calls = build(self), [0]
 
-            def stage_until_ctrl_c(*args):
+            def sample_until_ctrl_c(t):
                 calls[0] += 1
-                if calls[0] > 4 * 300:  # k1 of step 300, before its row is recorded
+                if calls[0] > 3 * 300:  # the first sample of step 300, before its row
                     raise KeyboardInterrupt
-                return stage(*args)
+                return reference(t)
 
-            return stage_until_ctrl_c
+            return sample_until_ctrl_c
 
-        monkeypatch.setattr(sim, "closed_loop", interrupted)
+        monkeypatch.setattr(SimConfig, "reference", interrupted)
         with leaves_no_child_or_fd():
             with pytest.raises(KeyboardInterrupt):
                 streamed(cfg, tmp_path / "streamed")
