@@ -5,8 +5,11 @@ inequalities (an upper bound on the integral gain, a lower bound on the
 proportional gain) plus a pair of 3x3 matrices: P_s bounding the Lyapunov
 function from below and Q_s bounding its decay rate.  This module evaluates
 all of them numerically for a concrete parameter set so a gain choice can be
-audited before running anything: ``check_gains`` for one triple,
-``certify_gains`` for many, with the same formulas and the same results.
+audited before running anything.  There is one evaluation path:
+``certify_gains`` audits a list of triples, and ``check_gains`` is
+``certify_gains`` of one triple.  Both take the believed plant as one
+``DerivedConstants``.  ``lyapunov_matrices`` computes the eigenvalues one
+matrix at a time and is the per-matrix reference for that path.
 
 Caveat recorded here because it is easy to trip over: the positive
 definiteness of P_s under the stated gain conditions is an asymptotic claim.
@@ -34,11 +37,14 @@ if TYPE_CHECKING:
 
 
 class DerivedConstants(NamedTuple):
-    """Inertia-spread delta, interconnection bound mu, admissible kappa interval."""
+    """Inertia-spread delta, interconnection bound mu, admissible kappa
+    interval, and the believed inertia bounds i_min <= I(theta_a) <= i_max."""
 
     delta: float
     mu: float
     kappa_range: tuple[float, float]
+    i_min: float
+    i_max: float
 
 
 def derived_constants(n: NominalParams, k_x: float) -> DerivedConstants:
@@ -61,7 +67,9 @@ def derived_constants(n: NominalParams, k_x: float) -> DerivedConstants:
         )
     mu = 1.0 + n.coupling_amp**2 * k_x / (2.0 * math.sqrt(discriminant))
     delta = 1.0 - i_min / i_max
-    return DerivedConstants(delta=delta, mu=mu, kappa_range=(1.0 / mu, 2.0 / mu))
+    return DerivedConstants(
+        delta=delta, mu=mu, kappa_range=(1.0 / mu, 2.0 / mu), i_min=i_min, i_max=i_max,
+    )
 
 
 def kappa_mid(constants: DerivedConstants) -> float:
@@ -116,8 +124,7 @@ def admissible_gain_sample(
     triples: list[Gains] = []
     for u_d, u_f, u_m in np.random.default_rng(seed).random((count, 3)).tolist():
         k_d = 1.0 + 9.0 * u_d
-        upper = k_d**3 * (1.0 - constants.delta**2) / constants.mu
-        k_i = (0.05 + 0.85 * u_f) * upper
+        k_i = (0.05 + 0.85 * u_f) * _k_i_upper(k_d, constants)
         _, _, floor = gain_thresholds(k_d, k_i, kappa, r_const)
         k_p = (1.05 + 1.95 * u_m) * floor
         triples.append(Gains(k_p=k_p, k_d=k_d, k_i=k_i))
@@ -170,50 +177,40 @@ def check_r_const(r_const: float) -> None:
         raise ValueError(f"r_const must be positive, got {r_const!r}")
 
 
+def _k_i_upper(k_d: float, constants: DerivedConstants) -> float:
+    """Upper bound of the integral gain at derivative gain k_d."""
+    return k_d**3 * (1.0 - constants.delta**2) / constants.mu
+
+
 def _margins(
-    k_p: float, k_d: float, k_i: float, delta: float, mu: float, kappa: float,
+    k_p: float, k_d: float, k_i: float, constants: DerivedConstants, kappa: float,
     r_const: float,
 ) -> tuple:
-    """The report fields k_i_upper .. passed of one triple, in field order."""
-    k_i_upper = k_d**3 * (1.0 - delta**2) / mu
+    """The report fields k_p .. passed of one triple, in field order."""
+    k_i_upper = _k_i_upper(k_d, constants)
     k_1, k_2, k_p_floor = gain_thresholds(k_d, k_i, kappa, r_const)
-    kappa_ok = 1.0 / mu < kappa < 2.0 / mu
+    lo, hi = constants.kappa_range
+    kappa_ok = lo < kappa < hi
     k_i_ok = 0.0 < k_i < k_i_upper
     k_p_ok = k_p > k_p_floor
     return (
+        k_p, k_d, k_i, constants.delta, constants.mu, kappa, r_const,
         k_i_upper, k_1, k_2, k_p_floor, k_i_upper - k_i, k_p - k_p_floor,
         kappa_ok, k_i_ok, k_p_ok, kappa_ok and k_i_ok and k_p_ok,
     )
 
 
 def check_gains(
-    g: Gains,
-    delta: float,
-    mu: float,
-    kappa: float,
-    r_const: float = 1.0,
-    *,
-    mu_min: float,
-    mu_max: float,
+    g: Gains, constants: DerivedConstants, kappa: float, r_const: float = 1.0,
 ) -> CertificateReport:
     """Evaluate the two gain inequalities and the Lyapunov matrices, and
     report margins, flags and eigenvalues.
 
     The symbol r in the k_1/k_2 thresholds is an abstract constant of the
     general theory, not the hoop radius; it is exposed as ``r_const``
-    (default 1).  ``mu_min``/``mu_max`` bound the inertia over the operating
-    region; Q_s needs them.
+    (default 1).
     """
-    check_r_const(r_const)
-    k_p, k_d, k_i = g.k_p, g.k_d, g.k_i
-    margins = _margins(k_p, k_d, k_i, delta, mu, kappa, r_const)
-    eigs = lyapunov_matrices(g, kappa, mu_min, mu_max)
-    return CertificateReport(
-        k_p, k_d, k_i, delta, mu, kappa, r_const, *margins,
-        tuple(float(v) for v in eigs.p_eigenvalues),
-        tuple(float(v) for v in eigs.q_eigenvalues),
-        eigs.p_positive_definite, eigs.q_positive_definite,
-    )
+    return certify_gains([g], constants, kappa, r_const)[0]
 
 
 def proof_matrices(
@@ -235,7 +232,8 @@ def proof_matrices(
     """
     import numpy as np
 
-    _check_inertia_bounds(mu_min, mu_max)
+    if not (math.isfinite(mu_min) and math.isfinite(mu_max) and 0.0 < mu_min <= mu_max):
+        raise ValueError(f"need 0 < mu_min <= mu_max, got {mu_min!r}, {mu_max!r}")
     if not (math.isfinite(theta_bound) and theta_bound > 0.0):
         raise ValueError(f"theta_bound must be positive, got {theta_bound!r}")
     p, q = _bound_entries(
@@ -246,11 +244,6 @@ def proof_matrices(
     return p_s, q_s
 
 
-def _check_inertia_bounds(mu_min: float, mu_max: float) -> None:
-    if not (math.isfinite(mu_min) and math.isfinite(mu_max) and 0.0 < mu_min <= mu_max):
-        raise ValueError(f"need 0 < mu_min <= mu_max, got {mu_min!r}, {mu_max!r}")
-
-
 def _check_finite(p_s: np.ndarray, q_s: np.ndarray) -> None:
     import numpy as np
 
@@ -258,15 +251,19 @@ def _check_finite(p_s: np.ndarray, q_s: np.ndarray) -> None:
         raise ValueError("non-finite entry in Lyapunov matrices")
 
 
+def _weights(
+    k_p: float, k_d: float, k_i: float, alpha: Optional[float], kappa: float,
+) -> tuple[float, float, float, float]:
+    """The proof's free parameters alpha, beta, sigma and gamma; alpha None
+    gives k_i/k_d^2 (see ``proof_matrices``)."""
+    if alpha is None:
+        alpha = k_i / k_d**2
+    return alpha, k_i / k_d, 2.0 * kappa * k_i, k_i * (alpha * k_d + k_p) / k_d
+
+
 def _bound_entries(
-    k_p: float,
-    k_d: float,
-    k_i: float,
-    alpha: Optional[float],
-    kappa: float,
-    theta_bound: float,
-    delta: float,
-    mu_max: float,
+    k_p: float, k_d: float, k_i: float, alpha: Optional[float], kappa: float,
+    theta_bound: float, delta: float, mu_max: float,
 ) -> tuple[list[list[float]], list[list[float]]]:
     """Rows of P_s and Q_s in Python floats; ``delta`` is 1 - mu_min/mu_max.
 
@@ -274,11 +271,7 @@ def _bound_entries(
     from Python's ``**`` in the last ulp for some k_d, which would move the
     eigenvalues.
     """
-    if alpha is None:
-        alpha = k_i / k_d**2
-    beta = k_i / k_d
-    sigma = 2.0 * kappa * k_i
-    gamma = k_i * (alpha * k_d + k_p) / k_d
+    alpha, beta, sigma, gamma = _weights(k_p, k_d, k_i, alpha, kappa)
     p = [
         [gamma, -sigma, -beta],
         [-sigma, k_p / theta_bound, -alpha],
@@ -300,20 +293,15 @@ class LyapunovEigs(NamedTuple):
     q_positive_definite: bool
 
 
-def lyapunov_matrices(g: Gains, kappa: float, mu_min: float, mu_max: float) -> LyapunovEigs:
+def lyapunov_matrices(g: Gains, constants: DerivedConstants, kappa: float) -> LyapunovEigs:
     """Eigenvalues and definiteness flags of the bound matrices P_s and Q_s,
-    with ``proof_matrices``' default alpha and theta_bound 1."""
+    with ``proof_matrices``' default alpha and theta_bound 1, one matrix at a
+    time: the reference for the stacked eigenvalues of ``certify_gains``."""
     import numpy as np
 
-    p_s, q_s = proof_matrices(g, None, kappa, 1.0, mu_min, mu_max)
-    p_eigs = np.linalg.eigvalsh(p_s)
-    q_eigs = np.linalg.eigvalsh(q_s)
-    return LyapunovEigs(
-        p_eigenvalues=p_eigs,
-        q_eigenvalues=q_eigs,
-        p_positive_definite=bool(p_eigs[0] > 0.0),
-        q_positive_definite=bool(q_eigs[0] > 0.0),
-    )
+    p_s, q_s = proof_matrices(g, None, kappa, 1.0, constants.i_min, constants.i_max)
+    p_eigs, q_eigs = np.linalg.eigvalsh(p_s), np.linalg.eigvalsh(q_s)
+    return LyapunovEigs(p_eigs, q_eigs, bool(p_eigs[0] > 0.0), bool(q_eigs[0] > 0.0))
 
 
 # Triples per stacked eigvalsh call in certify_gains: large enough that numpy's
@@ -323,35 +311,29 @@ CHUNK = 512
 
 
 def certify_gains(
-    triples: Sequence[Gains],
-    delta: float,
-    mu: float,
-    kappa: float,
-    r_const: float,
-    mu_min: float,
-    mu_max: float,
+    triples: Sequence[Gains], constants: DerivedConstants, kappa: float, r_const: float,
 ) -> list[CertificateReport]:
-    """``check_gains`` for many triples: the reports equal it field for field.
+    """Audit each triple: gain conditions, margins and Lyapunov eigenvalues.
 
-    Works through ``CHUNK`` triples at a time: the matrix entries and margins
-    are the same Python float arithmetic as the one-triple path, and each
-    chunk's P_s and Q_s go to ``np.linalg.eigvalsh`` as one (n, 3, 3) stack,
-    which gives the same eigenvalues bit for bit as one call per matrix.
+    Works through ``CHUNK`` triples at a time: the margins and matrix entries
+    are Python float arithmetic, and each chunk's P_s and Q_s go to
+    ``np.linalg.eigvalsh`` as one (n, 3, 3) stack, which gives the same
+    eigenvalues bit for bit as ``lyapunov_matrices``' one call per matrix.
+    A report does not depend on the other triples of the list.
     """
     import numpy as np
 
     check_r_const(r_const)
-    _check_inertia_bounds(mu_min, mu_max)
-    spread = 1.0 - mu_min / mu_max
     reports: list[CertificateReport] = []
     for start in range(0, len(triples), CHUNK):
         chunk = triples[start:start + CHUNK]
         rows, p_entries, q_entries = [], [], []
         for g in chunk:
             k_p, k_d, k_i = g.k_p, g.k_d, g.k_i
-            rows.append((k_p, k_d, k_i, delta, mu, kappa, r_const,
-                         *_margins(k_p, k_d, k_i, delta, mu, kappa, r_const)))
-            p, q = _bound_entries(k_p, k_d, k_i, None, kappa, 1.0, spread, mu_max)
+            rows.append(_margins(k_p, k_d, k_i, constants, kappa, r_const))
+            p, q = _bound_entries(
+                k_p, k_d, k_i, None, kappa, 1.0, constants.delta, constants.i_max,
+            )
             p_entries.append(p)
             q_entries.append(q)
         p_s, q_s = np.array(p_entries), np.array(q_entries)
@@ -391,10 +373,7 @@ def lyapunov_monitor(
     not reported).
     """
     k_p, k_d, k_i = g.k_p, g.k_d, g.k_i
-    a = k_i / k_d**2
-    b = k_i / k_d
-    s = 2.0 * kappa * k_i
-    c = k_i * (a * k_d + k_p) / k_d
+    alpha, beta, sigma, gamma = _weights(k_p, k_d, k_i, None, kappa)
 
     t = list(trajectory.t)
     w: list[float] = []
@@ -404,10 +383,10 @@ def lyapunov_monitor(
         w.append(
             k_p * o_e**2 / 2.0
             + omega_e**2 / 2.0
-            + c * o_i**2 / 2.0
-            + a * eta * omega_e
-            + b * o_i * omega_e
-            + s * o_i * eta
+            + gamma * o_i**2 / 2.0
+            + alpha * eta * omega_e
+            + beta * o_i * omega_e
+            + sigma * o_i * eta
         )
         z.append(math.sqrt(o_i**2 + o_e**2 + omega_e**2))
 

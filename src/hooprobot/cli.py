@@ -7,7 +7,7 @@ run writes the trajectory CSV, per-figure data files and a manifest that can
 be fed back as the config to reproduce the run bit-identically.
 
 Exit codes: 0 ok, 1 run failure (divergence, failed gain conditions, no
-equilibrium), 2 usage or configuration error.
+equilibrium, stdout closed by its reader), 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import configparser
 import csv
 import math
+import os
 import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
@@ -317,8 +318,7 @@ def _certificate_inputs(cfg: dict[str, dict[str, str]], args: argparse.Namespace
     gains = build_gains(cfg)
     factor = args.cert_mismatch if args.cert_mismatch is not None else 1.0
     try:
-        believed = nominal_from_true(plant, factor)
-        constants = certificate.derived_constants(believed, args.k_x)
+        constants = certificate.derived_constants(nominal_from_true(plant, factor), args.k_x)
         certificate.check_r_const(args.r_const)
     except ValueError as exc:
         raise ConfigError(f"invalid certificate flags: {exc}") from exc
@@ -328,9 +328,7 @@ def _certificate_inputs(cfg: dict[str, dict[str, str]], args: argparse.Namespace
         kappa = args.kappa
     else:
         raise ConfigError(f"kappa must be finite, got {args.kappa!r}")
-    i_max = believed.rolling_inertia
-    i_min = i_max - believed.inertia_dip
-    return gains, constants, kappa, (i_min, i_max)
+    return gains, constants, kappa
 
 
 @contextmanager
@@ -345,7 +343,7 @@ def _evaluating_certificate():
 
 
 def cmd_check_gains(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> int:
-    gains, constants, kappa, (i_min, i_max) = _certificate_inputs(cfg, args)
+    gains, constants, kappa = _certificate_inputs(cfg, args)
 
     if args.sweep is not None:
         name, spec_text = args.sweep
@@ -359,8 +357,15 @@ def cmd_check_gains(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) ->
             )
         if name not in ("kp", "kd", "ki"):
             raise ConfigError(f"can only sweep kp, kd or ki, not {name!r}")
-        # Count the values first, storing none; they only grow from the start,
-        # so an invalid gain is in the first chunk, checked before any output.
+        field = f"k_{name[1]}"
+        if start <= stop:
+            # The values only grow from the start, so a valid start makes
+            # every value a valid gain.
+            try:
+                replace(gains, **{field: start})
+            except ValueError as exc:
+                raise ConfigError(f"bad sweep range {spec_text!r}: {exc}") from exc
+        # Count the values first, storing none, then certify them chunk by chunk.
         count, value = 0, start
         while value <= stop + 1e-12:
             if value + step == value:
@@ -375,14 +380,9 @@ def cmd_check_gains(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) ->
             for _ in range(min(certificate.CHUNK, count - first)):
                 values.append(value)
                 value += step
-            try:
-                candidates = [replace(gains, **{f"k_{name[1]}": v}) for v in values]
-            except ValueError as exc:
-                raise ConfigError(f"bad sweep range {spec_text!r}: {exc}") from exc
+            candidates = [replace(gains, **{field: v}) for v in values]
             with _evaluating_certificate():
-                reports = certificate.certify_gains(
-                    candidates, constants.delta, constants.mu, kappa, args.r_const, i_min, i_max,
-                )
+                reports = certificate.certify_gains(candidates, constants, kappa, args.r_const)
             if first == 0:
                 print(f"{name}\tk_i_margin\tk_p_margin\tlambda_min_P\tpassed")
             for v, report in zip(values, reports):
@@ -393,10 +393,7 @@ def cmd_check_gains(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) ->
         return 0
 
     with _evaluating_certificate():
-        report = certificate.check_gains(
-            gains, constants.delta, constants.mu, kappa,
-            r_const=args.r_const, mu_min=i_min, mu_max=i_max,
-        )
+        report = certificate.check_gains(gains, constants, kappa, args.r_const)
     print(report.serialize())
     return 0 if report.passed else 1
 
@@ -422,14 +419,13 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> int:
         raise ConfigError(
             f"--count and --jobs must be >= 1, got {args.count} and {args.jobs}"
         )
-    _, constants, kappa, (i_min, i_max) = _certificate_inputs(cfg, args)
+    _, constants, kappa = _certificate_inputs(cfg, args)
     with _evaluating_certificate():
         triples = certificate.admissible_gain_sample(
             args.count, args.seed, constants, kappa, r_const=args.r_const,
         )
     certify = partial(
-        certificate.certify_gains, delta=constants.delta, mu=constants.mu, kappa=kappa,
-        r_const=args.r_const, mu_min=i_min, mu_max=i_max,
+        certificate.certify_gains, constants=constants, kappa=kappa, r_const=args.r_const,
     )
     chunks = [
         triples[start:start + certificate.CHUNK]
@@ -532,10 +528,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = load_config(args.config)
         _apply_overrides(cfg, args)
-        return args.func(args, cfg)
+        status = args.func(args, cfg)
+        sys.stdout.flush()  # a closed pipe then raises here, not at exit
+        return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout went away.  Point stdout at devnull so that
+        # flushing what is still buffered at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

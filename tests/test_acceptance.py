@@ -322,13 +322,10 @@ def test_criterion_10_certificate_sweep(capsys):
                              l=0.14)
     constants = derived_constants(believed, 5.0)
     kappa = kappa_mid(constants)
-    i_max = believed.rolling_inertia
-    i_min = i_max - believed.inertia_dip
 
     p_mins = []
     for g in admissible_gain_sample(100, 2026, constants, kappa):
-        report = check_gains(g, constants.delta, constants.mu, kappa,
-                             mu_min=i_min, mu_max=i_max)
+        report = check_gains(g, constants, kappa)
         assert report.passed
         p_mins.append(report.p_eigenvalues[0])
 
@@ -336,8 +333,7 @@ def test_criterion_10_certificate_sweep(capsys):
     ray_ok = True
     for s in (1, 2, 3, 4):
         g = Gains(k_p=12.0 * s**2, k_d=2.0 * s, k_i=4.0 * s**3)
-        report = check_gains(g, constants.delta, constants.mu, kappa,
-                             mu_min=i_min, mu_max=i_max)
+        report = check_gains(g, constants, kappa)
         ray_ok = ray_ok and report.passed
         q_mins.append(report.q_eigenvalues[0])
     monotone = all(a < b for a, b in zip(q_mins, q_mins[1:]))

@@ -106,8 +106,7 @@ class TestCheckGains:
         # the demonstration gains satisfy the integral-gain bound but sit far
         # below the (conservative, sufficient-only) proportional floor
         c = derived_constants(BELIEVED, 6.0)
-        report = check_gains(GAINS, c.delta, c.mu, kappa_mid(c),
-                             mu_min=I_MIN, mu_max=I_MAX)
+        report = check_gains(GAINS, c, kappa_mid(c))
         assert report.kappa_ok
         assert report.k_i_ok
         assert not report.k_p_ok
@@ -117,20 +116,16 @@ class TestCheckGains:
     def test_integral_bound_scales_with_damping_cubed(self):
         c = derived_constants(BELIEVED, 5.0)
         kappa = kappa_mid(c)
-        r1 = check_gains(Gains(200.0, 2.0, 1.0), c.delta, c.mu, kappa,
-                         mu_min=I_MIN, mu_max=I_MAX)
-        r2 = check_gains(Gains(200.0, 4.0, 1.0), c.delta, c.mu, kappa,
-                         mu_min=I_MIN, mu_max=I_MAX)
+        r1 = check_gains(Gains(200.0, 2.0, 1.0), c, kappa)
+        r2 = check_gains(Gains(200.0, 4.0, 1.0), c, kappa)
         assert r2.k_i_upper == pytest.approx(8.0 * r1.k_i_upper, rel=1e-12)
 
     def test_proportional_margin_is_monotone(self):
         c = derived_constants(BELIEVED, 5.0)
         kappa = kappa_mid(c)
-        base = check_gains(Gains(50.0, 3.0, 2.0), c.delta, c.mu, kappa,
-                           mu_min=I_MIN, mu_max=I_MAX)
+        base = check_gains(Gains(50.0, 3.0, 2.0), c, kappa)
         for dk in (1.0, 10.0, 100.0):
-            bigger = check_gains(Gains(50.0 + dk, 3.0, 2.0), c.delta, c.mu, kappa,
-                                 mu_min=I_MIN, mu_max=I_MAX)
+            bigger = check_gains(Gains(50.0 + dk, 3.0, 2.0), c, kappa)
             assert bigger.k_p_margin == pytest.approx(base.k_p_margin + dk, rel=1e-12)
             assert bigger.k_p_floor == base.k_p_floor
 
@@ -138,15 +133,14 @@ class TestCheckGains:
         c = derived_constants(BELIEVED, 5.0)
         kappa = kappa_mid(c)
         upper = 3.0**3 * (1.0 - c.delta**2) / c.mu
-        report = check_gains(Gains(500.0, 3.0, 1.1 * upper), c.delta, c.mu, kappa,
-                             mu_min=I_MIN, mu_max=I_MAX)
+        report = check_gains(Gains(500.0, 3.0, 1.1 * upper), c, kappa)
         assert not report.k_i_ok
         assert not report.passed
 
     def test_rejects_bad_r_const(self):
         c = derived_constants(BELIEVED, 5.0)
         with pytest.raises(ValueError, match="r_const"):
-            check_gains(GAINS, c.delta, c.mu, 1.0, r_const=0.0, mu_min=I_MIN, mu_max=I_MAX)
+            check_gains(GAINS, c, 1.0, r_const=0.0)
 
 
 class TestProofMatrices:
@@ -181,7 +175,7 @@ class TestLyapunovMatrices:
         kappa = kappa_mid(c)
         for g in admissible_gain_sample(20, 99, c, kappa):
             p_s, q_s = proof_matrices(g, None, kappa, 1.0, I_MIN, I_MAX)
-            eigs = lyapunov_matrices(g, kappa, I_MIN, I_MAX)
+            eigs = lyapunov_matrices(g, c, kappa)
             assert np.allclose(eigs.p_eigenvalues, charpoly_eigs(p_s),
                                rtol=1e-9, atol=1e-9)
             assert np.allclose(eigs.q_eigenvalues, charpoly_eigs(q_s),
@@ -190,7 +184,7 @@ class TestLyapunovMatrices:
     def test_definiteness_flags_match_eigenvalues(self):
         c = derived_constants(BELIEVED, 5.0)
         kappa = kappa_mid(c)
-        eigs = lyapunov_matrices(GAINS, kappa, I_MIN, I_MAX)
+        eigs = lyapunov_matrices(GAINS, c, kappa)
         assert eigs.p_positive_definite == bool(eigs.p_eigenvalues[0] > 0.0)
         assert eigs.q_positive_definite == bool(eigs.q_eigenvalues[0] > 0.0)
 
@@ -209,7 +203,7 @@ class TestAdmissibleGainSample:
         kappa = kappa_mid(c)
         lmins = []
         for g in admissible_gain_sample(100, 2026, c, kappa):
-            report = check_gains(g, c.delta, c.mu, kappa, mu_min=I_MIN, mu_max=I_MAX)
+            report = check_gains(g, c, kappa)
             assert report.passed
             lmins.append(report.p_eigenvalues[0])
         assert min(lmins) == pytest.approx(0.2593809575880058, rel=1e-9)
@@ -223,7 +217,7 @@ class TestAdmissibleGainSample:
         q_mins = []
         for s in (1, 2, 3, 4):
             g = Gains(k_p=12.0 * s**2, k_d=2.0 * s, k_i=4.0 * s**3)
-            report = check_gains(g, c.delta, c.mu, kappa, mu_min=I_MIN, mu_max=I_MAX)
+            report = check_gains(g, c, kappa)
             assert report.passed
             q_mins.append(report.q_eigenvalues[0])
         assert q_mins == sorted(q_mins)
@@ -280,39 +274,48 @@ class TestCertifyGains:
         seed=st.integers(0, 2**32 - 1),
         r_const=st.floats(0.05, 20.0),
         kappa_scale=st.floats(0.8, 2.2),
-        spread=st.floats(0.0, 0.95),
+        scales=st.tuples(*[st.floats(0.2, 5.0)] * 6),
+        k_x=st.floats(0.0, 20.0),
     )
     def test_equals_check_gains_field_for_field(
-        self, count, drawn, seed, r_const, kappa_scale, spread,
+        self, count, drawn, seed, r_const, kappa_scale, scales, k_x,
     ):
-        c = derived_constants(BELIEVED, 6.0)
+        # check_gains is certify_gains of one triple, so this compares each
+        # report of a list with the audit of its triple alone, and that audit
+        # with the per-matrix eigenvalues and the thresholds
+        believed = NominalParams(*(scale * getattr(BELIEVED, name) for scale, name in
+                                   zip(scales, ("m_h", "i_h", "r", "m_a", "i_a", "l"))))
+        c = derived_constants(believed, k_x)
         kappa = kappa_scale / c.mu  # admissible only inside (1, 2)
-        mu_max = I_MAX
-        mu_min = mu_max * (1.0 - spread)
         rng = random.Random(seed)
         triples = [Gains(*t) for t in drawn[:count]]
         while len(triples) < count:
             k_d = rng.uniform(0.2, 15.0)
             triples.append(Gains(k_p=rng.uniform(0.01, 2000.0), k_d=k_d,
                                  k_i=rng.uniform(0.01, 1.2) * k_d**3))
-        batch = certify_gains(triples, c.delta, c.mu, kappa, r_const, mu_min, mu_max)
+        batch = certify_gains(triples, c, kappa, r_const)
         assert len(batch) == count
         for g, got in zip(triples, batch):
-            want = check_gains(g, c.delta, c.mu, kappa, r_const=r_const,
-                               mu_min=mu_min, mu_max=mu_max)
+            (want,) = certify_gains([g], c, kappa, r_const)
             for f in fields(CertificateReport):
                 assert hexed(getattr(got, f.name)) == hexed(getattr(want, f.name)), f.name
+            eigs = lyapunov_matrices(g, c, kappa)
+            assert hexed(got.p_eigenvalues) == hexed(tuple(eigs.p_eigenvalues.tolist()))
+            assert hexed(got.q_eigenvalues) == hexed(tuple(eigs.q_eigenvalues.tolist()))
+            assert got.p_positive_definite == eigs.p_positive_definite
+            assert got.q_positive_definite == eigs.q_positive_definite
+            floor = gain_thresholds(g.k_d, g.k_i, kappa, r_const)[2]
+            assert hexed(got.k_p_floor) == hexed(floor)
 
     def test_mixed_verdicts_are_reported(self):
         c = derived_constants(BELIEVED, 6.0)
         kappa = kappa_mid(c)
-        reports = certify_gains([GAINS, Gains(120.0, 7.0, 4.0)], c.delta, c.mu, kappa,
-                                1.0, I_MIN, I_MAX)
+        reports = certify_gains([GAINS, Gains(120.0, 7.0, 4.0)], c, kappa, 1.0)
         assert [r.passed for r in reports] == [False, True]
 
     def test_empty_input_gives_no_reports(self):
         c = derived_constants(BELIEVED, 6.0)
-        assert certify_gains([], c.delta, c.mu, kappa_mid(c), 1.0, I_MIN, I_MAX) == []
+        assert certify_gains([], c, kappa_mid(c), 1.0) == []
 
     @pytest.mark.parametrize("position", [0, CHUNK])
     def test_non_finite_entry_raises(self, position):
@@ -320,28 +323,23 @@ class TestCertifyGains:
         # finite gains whose products overflow: gamma and alpha k_p become inf
         huge = Gains(1e300, 7.0, 1e102)
         with pytest.raises(ValueError, match="non-finite"):
-            check_gains(huge, c.delta, c.mu, kappa_mid(c), mu_min=I_MIN, mu_max=I_MAX)
+            check_gains(huge, c, kappa_mid(c))
         triples = [Gains(120.0, 7.0, 4.0)] * (CHUNK + 1)
         triples[position] = huge
         with pytest.raises(ValueError, match="non-finite"):
-            certify_gains(triples, c.delta, c.mu, kappa_mid(c), 1.0, I_MIN, I_MAX)
+            certify_gains(triples, c, kappa_mid(c), 1.0)
 
     def test_validates_like_the_scalar_path(self):
         c = derived_constants(BELIEVED, 6.0)
         kappa = kappa_mid(c)
         with pytest.raises(ValueError, match="r_const"):
-            certify_gains([GAINS], c.delta, c.mu, kappa, 0.0, I_MIN, I_MAX)
-        with pytest.raises(ValueError, match="mu_min"):
-            certify_gains([GAINS], c.delta, c.mu, kappa, 1.0, I_MAX, I_MIN)
-        with pytest.raises(ValueError, match="mu_min"):
-            certify_gains([GAINS], c.delta, c.mu, kappa, 1.0, math.nan, I_MAX)
+            certify_gains([GAINS], c, kappa, 0.0)
 
 
 class TestReport:
     def test_serialize_is_stable_and_complete(self):
         c = derived_constants(BELIEVED, 6.0)
-        report = check_gains(GAINS, c.delta, c.mu, kappa_mid(c),
-                             mu_min=I_MIN, mu_max=I_MAX)
+        report = check_gains(GAINS, c, kappa_mid(c))
         text = report.serialize()
         lines = text.splitlines()
         assert lines[0].startswith("k_p = ")
@@ -352,8 +350,7 @@ class TestReport:
 
     def test_fields_round_trip(self):
         c = derived_constants(BELIEVED, 6.0)
-        report = check_gains(GAINS, c.delta, c.mu, kappa_mid(c),
-                             mu_min=I_MIN, mu_max=I_MAX)
+        report = check_gains(GAINS, c, kappa_mid(c))
         assert isinstance(report, CertificateReport)
         assert report.k_i_margin == pytest.approx(report.k_i_upper - GAINS.k_i)
         assert report.k_p_margin == pytest.approx(GAINS.k_p - report.k_p_floor)

@@ -460,7 +460,6 @@ class TestCheckGainsCommand:
         rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()[1:]]
         believed = nominal_from_true(build_plant(load_config(None)), 1.0)
         constants = certificate.derived_constants(believed, 6.0)
-        i_max = believed.rolling_inertia
         field = {"kp": "k_p", "kd": "k_d", "ki": "k_i"}[name]
         start, stop, step = (float(v) for v in spec.split(":"))
         assert len(rows) == round((stop - start) / step) + 1
@@ -468,8 +467,7 @@ class TestCheckGainsCommand:
             value = start + k * step
             report = certificate.check_gains(
                 replace(build_gains(load_config(None)), **{field: value}),
-                constants.delta, constants.mu, certificate.kappa_mid(constants),
-                mu_min=i_max - believed.inertia_dip, mu_max=i_max,
+                constants, certificate.kappa_mid(constants),
             )
             assert row == [f"{value:g}", f"{report.k_i_margin:.6g}",
                            f"{report.k_p_margin:.6g}",
@@ -479,7 +477,6 @@ class TestCheckGainsCommand:
         # the table the command printed when it certified every value at once
         believed = nominal_from_true(build_plant(load_config(None)), 1.0)
         constants = certificate.derived_constants(believed, 6.0)
-        i_max = believed.rolling_inertia
         values, value = [], 0.3
         while value <= 390.1 + 1e-12:
             values.append(value)
@@ -487,8 +484,7 @@ class TestCheckGainsCommand:
         assert len(values) == 1300
         reports = certificate.certify_gains(
             [replace(build_gains(load_config(None)), k_p=v) for v in values],
-            constants.delta, constants.mu, certificate.kappa_mid(constants), 1.0,
-            i_max - believed.inertia_dip, i_max,
+            constants, certificate.kappa_mid(constants), 1.0,
         )
         expected = "kp\tk_i_margin\tk_p_margin\tlambda_min_P\tpassed\n" + "".join(
             f"{v:g}\t{r.k_i_margin:.6g}\t{r.k_p_margin:.6g}\t{r.p_eigenvalues[0]:.6g}"
@@ -520,6 +516,31 @@ class TestCheckGainsCommand:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("config error: bad sweep range")
+
+    def test_sweep_checks_its_start_before_counting(self, capsys):
+        # the start is no valid k_p, and the step is also below half an ulp of
+        # it; the start is checked first, so that is the error reported.  The
+        # leading blank keeps argparse from reading the spec as a flag, and
+        # float() ignores it.
+        assert main(["check-gains", "--sweep", "kp", " -1e16:2e16:1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: bad sweep range ' -1e16:2e16:1': "
+                                "k_p must be finite and positive, got -1e+16\n")
+
+    def test_closed_stdout_ends_quietly_with_exit_one(self):
+        # the reader stops after three lines, as `| head -3` does
+        src = str(Path(hooprobot.__file__).resolve().parents[1])
+        with subprocess.Popen(
+            [sys.executable, "-m", "hooprobot", "check-gains", "--sweep", "kp", "1:1e5:1"],
+            cwd=src, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ) as proc:
+            lines = [proc.stdout.readline() for _ in range(3)]
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 1
+        assert lines[0].startswith("kp\t") and lines[2].startswith("2\t")
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 # Certificate flags outside their domain, with the start of the error line.
@@ -618,13 +639,10 @@ class TestSweepCommand:
         believed = nominal_from_true(build_plant(load_config(None)), 1.0)
         constants = certificate.derived_constants(believed, 6.0)
         kappa = certificate.kappa_mid(constants)
-        i_max = believed.rolling_inertia
-        i_min = i_max - believed.inertia_dip
         rows = []
         for g in certificate.admissible_gain_sample(count, seed, constants, kappa):
             report = certificate.check_gains(
-                Gains(k_p=g.k_p, k_d=g.k_d, k_i=g.k_i), constants.delta, constants.mu,
-                kappa, r_const=1.0, mu_min=i_min, mu_max=i_max,
+                Gains(k_p=g.k_p, k_d=g.k_d, k_i=g.k_i), constants, kappa, r_const=1.0,
             )
             rows.append((
                 g.k_p, g.k_d, g.k_i, report.k_i_margin, report.k_p_margin,

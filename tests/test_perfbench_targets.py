@@ -35,3 +35,17 @@ def test_sim_binds_the_wrapped_make_reference():
     sim = importlib.import_module("hooprobot.sim")
     assert callable(getattr(reference, "make_reference", None))
     assert sim.make_reference is reference.make_reference
+
+
+def test_workloads_call_the_package_as_it_is(monkeypatch):
+    # the sweep and ensemble workloads call the Python API directly; a changed
+    # signature would otherwise surface only as failed benchmark operations
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    hooprobot = importlib.import_module("hooprobot")
+    importlib.import_module("hooprobot.cli")
+    p_s, q_s = workloads.Sweep(1).matrices(hooprobot)(120.0, 7.0, 4.0)
+    assert p_s.shape == q_s.shape == (3, 3)
+    cfgs, again = workloads.Ensemble(1).configs(hooprobot, 0)
+    assert all(isinstance(cfg, hooprobot.sim.SimConfig) for cfg in cfgs)
+    assert 0 <= again < len(cfgs)
