@@ -37,14 +37,18 @@ if TYPE_CHECKING:
 
 
 class DerivedConstants(NamedTuple):
-    """Inertia-spread delta, interconnection bound mu, admissible kappa
-    interval, and the believed inertia bounds i_min <= I(theta_a) <= i_max."""
+    """Interconnection bound mu, admissible kappa interval, and the believed
+    inertia bounds i_min <= I(theta_a) <= i_max; the inertia spread delta
+    follows from the bounds."""
 
-    delta: float
     mu: float
     kappa_range: tuple[float, float]
     i_min: float
     i_max: float
+
+    @property
+    def delta(self) -> float:
+        return 1.0 - self.i_min / self.i_max
 
 
 def derived_constants(n: NominalParams, k_x: float) -> DerivedConstants:
@@ -66,10 +70,7 @@ def derived_constants(n: NominalParams, k_x: float) -> DerivedConstants:
             f"I_max * (I_max * A - (m_a r l)^2) = {discriminant!r} must be positive"
         )
     mu = 1.0 + n.coupling_amp**2 * k_x / (2.0 * math.sqrt(discriminant))
-    delta = 1.0 - i_min / i_max
-    return DerivedConstants(
-        delta=delta, mu=mu, kappa_range=(1.0 / mu, 2.0 / mu), i_min=i_min, i_max=i_max,
-    )
+    return DerivedConstants(mu=mu, kappa_range=(1.0 / mu, 2.0 / mu), i_min=i_min, i_max=i_max)
 
 
 def kappa_mid(constants: DerivedConstants) -> float:
@@ -201,7 +202,10 @@ def _margins(
 
 
 def check_gains(
-    g: Gains, constants: DerivedConstants, kappa: float, r_const: float = 1.0,
+    g: Gains,
+    constants: DerivedConstants,
+    kappa: float,
+    r_const: float = 1.0,
 ) -> CertificateReport:
     """Evaluate the two gain inequalities and the Lyapunov matrices, and
     report margins, flags and eigenvalues.
@@ -262,8 +266,14 @@ def _weights(
 
 
 def _bound_entries(
-    k_p: float, k_d: float, k_i: float, alpha: Optional[float], kappa: float,
-    theta_bound: float, delta: float, mu_max: float,
+    k_p: float,
+    k_d: float,
+    k_i: float,
+    alpha: Optional[float],
+    kappa: float,
+    theta_bound: float,
+    delta: float,
+    mu_max: float,
 ) -> tuple[list[list[float]], list[list[float]]]:
     """Rows of P_s and Q_s in Python floats; ``delta`` is 1 - mu_min/mu_max.
 
@@ -300,8 +310,14 @@ def lyapunov_matrices(g: Gains, constants: DerivedConstants, kappa: float) -> Ly
     import numpy as np
 
     p_s, q_s = proof_matrices(g, None, kappa, 1.0, constants.i_min, constants.i_max)
-    p_eigs, q_eigs = np.linalg.eigvalsh(p_s), np.linalg.eigvalsh(q_s)
-    return LyapunovEigs(p_eigs, q_eigs, bool(p_eigs[0] > 0.0), bool(q_eigs[0] > 0.0))
+    p_eigs = np.linalg.eigvalsh(p_s)
+    q_eigs = np.linalg.eigvalsh(q_s)
+    return LyapunovEigs(
+        p_eigenvalues=p_eigs,
+        q_eigenvalues=q_eigs,
+        p_positive_definite=bool(p_eigs[0] > 0.0),
+        q_positive_definite=bool(q_eigs[0] > 0.0),
+    )
 
 
 # Triples per stacked eigvalsh call in certify_gains: large enough that numpy's
@@ -311,7 +327,10 @@ CHUNK = 512
 
 
 def certify_gains(
-    triples: Sequence[Gains], constants: DerivedConstants, kappa: float, r_const: float,
+    triples: Sequence[Gains],
+    constants: DerivedConstants,
+    kappa: float,
+    r_const: float,
 ) -> list[CertificateReport]:
     """Audit each triple: gain conditions, margins and Lyapunov eigenvalues.
 

@@ -318,7 +318,8 @@ def _certificate_inputs(cfg: dict[str, dict[str, str]], args: argparse.Namespace
     gains = build_gains(cfg)
     factor = args.cert_mismatch if args.cert_mismatch is not None else 1.0
     try:
-        constants = certificate.derived_constants(nominal_from_true(plant, factor), args.k_x)
+        believed = nominal_from_true(plant, factor)
+        constants = certificate.derived_constants(believed, args.k_x)
         certificate.check_r_const(args.r_const)
     except ValueError as exc:
         raise ConfigError(f"invalid certificate flags: {exc}") from exc
@@ -358,7 +359,8 @@ def cmd_check_gains(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) ->
         if name not in ("kp", "kd", "ki"):
             raise ConfigError(f"can only sweep kp, kd or ki, not {name!r}")
         field = f"k_{name[1]}"
-        if start <= stop:
+        limit = stop + 1e-12  # every counted value is <= limit; a start above it counts none
+        if start <= limit:
             # The values only grow from the start, so a valid start makes
             # every value a valid gain.
             try:
@@ -367,7 +369,7 @@ def cmd_check_gains(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) ->
                 raise ConfigError(f"bad sweep range {spec_text!r}: {exc}") from exc
         # Count the values first, storing none, then certify them chunk by chunk.
         count, value = 0, start
-        while value <= stop + 1e-12:
+        while value <= limit:
             if value + step == value:
                 raise ConfigError(
                     f"bad sweep range {spec_text!r}, the step does not change {value!r}"
@@ -490,6 +492,19 @@ def _add_certificate_flags(sub: argparse.ArgumentParser) -> None:
                           "(default: the plant values themselves)")
 
 
+def _stdout_reader_gone() -> bool:
+    """Whether stdout is a pipe or socket whose reader has gone away."""
+    import select
+
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # replaced by an in-memory stream
+        return False
+    poller = select.poll()
+    poller.register(fd, select.POLLOUT)
+    return any(event & (select.POLLERR | select.POLLHUP) for _, event in poller.poll(0))
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="hooprobot",
@@ -535,9 +550,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # The reader of stdout went away.  Point stdout at devnull so that
-        # flushing what is still buffered at exit does not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not _stdout_reader_gone():
+            raise  # a pipe other than stdout, such as a FIFO given as --out
+        # Point stdout at devnull so that flushing what is still buffered at
+        # exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -509,6 +509,7 @@ class TestCheckGainsCommand:
         "90:100:0", "90:100:-5", "90:100:nan", "nan:100:5", "90:nan:5",
         "90:inf:5", "90:-inf:5", "90:100:inf", "0:10:5",
         "1e16:2e16:1",  # the step is below half an ulp of the start
+        "0:-1e-13:1",  # start > stop, but within the counting tolerance: one value, k_p = 0
     ])
     def test_sweep_rejects_empty_or_endless_range(self, spec, capsys):
         assert main(["check-gains", "--sweep", "kp", spec]) == 2
@@ -541,6 +542,23 @@ class TestCheckGainsCommand:
         assert proc.returncode == 1
         assert lines[0].startswith("kp\t") and lines[2].startswith("2\t")
         assert "Traceback" not in err and "Exception ignored" not in err
+
+    def test_closed_output_file_pipe_still_raises(self, tmp_path):
+        # only stdout's reader going away is a quiet exit; a FIFO given as
+        # --out whose reader quits is a failed write, with its traceback
+        src = str(Path(hooprobot.__file__).resolve().parents[1])
+        fifo = tmp_path / "rows"
+        os.mkfifo(fifo)
+        with subprocess.Popen(
+            [sys.executable, "-m", "hooprobot", "sweep", "--count", "8000", "--out", str(fifo)],
+            cwd=src, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ) as proc:
+            with open(fifo, encoding="utf-8") as reader:
+                assert reader.readline().startswith("k_p,")
+            out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert out == ""
+        assert "BrokenPipeError" in err
 
 
 # Certificate flags outside their domain, with the start of the error line.
