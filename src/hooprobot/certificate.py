@@ -5,9 +5,10 @@ inequalities (an upper bound on the integral gain, a lower bound on the
 proportional gain) plus a pair of 3x3 matrices: P_s bounding the Lyapunov
 function from below and Q_s bounding its decay rate.  This module evaluates
 all of them numerically for a concrete parameter set so a gain choice can be
-audited before running anything.  There is one evaluation path:
-``certify_gains`` audits a list of triples, and ``check_gains`` is
-``certify_gains`` of one triple.  Both take the believed plant as one
+audited before running anything.  There is one evaluation path,
+``_certify_chunk``.  ``certify_gains`` wraps its rows into reports, and
+``check_gains`` is ``certify_gains`` of one triple; ``hooprobot sweep`` turns
+the rows straight into CSV text.  All take the believed plant as one
 ``DerivedConstants``.  ``lyapunov_matrices`` computes the eigenvalues one
 matrix at a time and is the per-matrix reference for that path.
 
@@ -122,10 +123,11 @@ def admissible_gain_sample(
     # uniform(margin) calls, and low + (high - low) * u is the arithmetic
     # Generator.uniform applies, so the triples are bit-identical to that loop.
     # Each span below is high - low exactly (10 - 1, 0.9 - 0.05, 3 - 1.05).
+    delta, mu = constants.delta, constants.mu
     triples: list[Gains] = []
     for u_d, u_f, u_m in np.random.default_rng(seed).random((count, 3)).tolist():
         k_d = 1.0 + 9.0 * u_d
-        k_i = (0.05 + 0.85 * u_f) * _k_i_upper(k_d, constants)
+        k_i = (0.05 + 0.85 * u_f) * _k_i_upper(k_d, delta, mu)
         _, _, floor = gain_thresholds(k_d, k_i, kappa, r_const)
         k_p = (1.05 + 1.95 * u_m) * floor
         triples.append(Gains(k_p=k_p, k_d=k_d, k_i=k_i))
@@ -178,27 +180,9 @@ def check_r_const(r_const: float) -> None:
         raise ValueError(f"r_const must be positive, got {r_const!r}")
 
 
-def _k_i_upper(k_d: float, constants: DerivedConstants) -> float:
+def _k_i_upper(k_d: float, delta: float, mu: float) -> float:
     """Upper bound of the integral gain at derivative gain k_d."""
-    return k_d**3 * (1.0 - constants.delta**2) / constants.mu
-
-
-def _margins(
-    k_p: float, k_d: float, k_i: float, constants: DerivedConstants, kappa: float,
-    r_const: float,
-) -> tuple:
-    """The report fields k_p .. passed of one triple, in field order."""
-    k_i_upper = _k_i_upper(k_d, constants)
-    k_1, k_2, k_p_floor = gain_thresholds(k_d, k_i, kappa, r_const)
-    lo, hi = constants.kappa_range
-    kappa_ok = lo < kappa < hi
-    k_i_ok = 0.0 < k_i < k_i_upper
-    k_p_ok = k_p > k_p_floor
-    return (
-        k_p, k_d, k_i, constants.delta, constants.mu, kappa, r_const,
-        k_i_upper, k_1, k_2, k_p_floor, k_i_upper - k_i, k_p - k_p_floor,
-        kappa_ok, k_i_ok, k_p_ok, kappa_ok and k_i_ok and k_p_ok,
-    )
+    return k_d**3 * (1.0 - delta**2) / mu
 
 
 def check_gains(
@@ -243,7 +227,7 @@ def proof_matrices(
     p, q = _bound_entries(
         g.k_p, g.k_d, g.k_i, alpha, kappa, theta_bound, 1.0 - mu_min / mu_max, mu_max,
     )
-    p_s, q_s = np.array(p), np.array(q)
+    p_s, q_s = np.array(p).reshape(3, 3), np.array(q).reshape(3, 3)
     _check_finite(p_s, q_s)
     return p_s, q_s
 
@@ -274,8 +258,8 @@ def _bound_entries(
     theta_bound: float,
     delta: float,
     mu_max: float,
-) -> tuple[list[list[float]], list[list[float]]]:
-    """Rows of P_s and Q_s in Python floats; ``delta`` is 1 - mu_min/mu_max.
+) -> tuple[list[float], list[float]]:
+    """Entries of P_s and Q_s, row by row, in Python floats; ``delta`` is 1 - mu_min/mu_max.
 
     The entries stay scalar float arithmetic: numpy's array power differs
     from Python's ``**`` in the last ulp for some k_d, which would move the
@@ -283,15 +267,15 @@ def _bound_entries(
     """
     alpha, beta, sigma, gamma = _weights(k_p, k_d, k_i, alpha, kappa)
     p = [
-        [gamma, -sigma, -beta],
-        [-sigma, k_p / theta_bound, -alpha],
-        [-beta, -alpha, 1.0],
+        gamma, -sigma, -beta,
+        -sigma, k_p / theta_bound, -alpha,
+        -beta, -alpha, 1.0,
     ]
     q_23 = (k_i - alpha * k_d**2) / (2.0 * k_d)
     q = [
-        [k_i**2 / k_d, 0.0, -delta * k_i],
-        [0.0, alpha * k_p - 2.0 * k_d / mu_max, q_23],
-        [-delta * k_i, q_23, k_d - alpha * mu_max],
+        k_i**2 / k_d, 0.0, -delta * k_i,
+        0.0, alpha * k_p - 2.0 * k_d / mu_max, q_23,
+        -delta * k_i, q_23, k_d - alpha * mu_max,
     ]
     return p, q
 
@@ -320,10 +304,47 @@ def lyapunov_matrices(g: Gains, constants: DerivedConstants, kappa: float) -> Ly
     )
 
 
-# Triples per stacked eigvalsh call in certify_gains: large enough that numpy's
+# Triples per stacked eigvalsh call in _certify_chunk: large enough that numpy's
 # per-call overhead is spread thin, small enough that one chunk's entry lists
 # and (n, 3, 3) stacks stay small next to the triples of a long sweep.
 CHUNK = 512
+
+
+def _certify_chunk(
+    chunk: Sequence[Gains],
+    constants: DerivedConstants,
+    kappa: float,
+    r_const: float,
+) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+    """Per triple the ``CertificateReport`` fields k_p .. passed, and the
+    eigenvalues of P_s and of Q_s as (n, 3) arrays: one stacked ``eigvalsh``
+    call per matrix, bit for bit ``lyapunov_matrices``' one call per matrix.
+    A row does not depend on the other triples of the chunk.
+    """
+    import numpy as np
+
+    delta, mu, i_max = constants.delta, constants.mu, constants.i_max
+    lo, hi = constants.kappa_range
+    kappa_ok = lo < kappa < hi
+    rows, p_flat, q_flat = [], [], []
+    for g in chunk:
+        k_p, k_d, k_i = g.k_p, g.k_d, g.k_i
+        k_i_upper = _k_i_upper(k_d, delta, mu)
+        k_1, k_2, k_p_floor = gain_thresholds(k_d, k_i, kappa, r_const)
+        k_i_ok = 0.0 < k_i < k_i_upper
+        k_p_ok = k_p > k_p_floor
+        rows.append((
+            k_p, k_d, k_i, delta, mu, kappa, r_const,
+            k_i_upper, k_1, k_2, k_p_floor, k_i_upper - k_i, k_p - k_p_floor,
+            kappa_ok, k_i_ok, k_p_ok, kappa_ok and k_i_ok and k_p_ok,
+        ))
+        p, q = _bound_entries(k_p, k_d, k_i, None, kappa, 1.0, delta, i_max)
+        p_flat += p
+        q_flat += q
+    p_s = np.array(p_flat).reshape(-1, 3, 3)
+    q_s = np.array(q_flat).reshape(-1, 3, 3)
+    _check_finite(p_s, q_s)
+    return rows, np.linalg.eigvalsh(p_s), np.linalg.eigvalsh(q_s)
 
 
 def certify_gains(
@@ -334,32 +355,16 @@ def certify_gains(
 ) -> list[CertificateReport]:
     """Audit each triple: gain conditions, margins and Lyapunov eigenvalues.
 
-    Works through ``CHUNK`` triples at a time: the margins and matrix entries
-    are Python float arithmetic, and each chunk's P_s and Q_s go to
-    ``np.linalg.eigvalsh`` as one (n, 3, 3) stack, which gives the same
-    eigenvalues bit for bit as ``lyapunov_matrices``' one call per matrix.
-    A report does not depend on the other triples of the list.
+    Works through ``CHUNK`` triples at a time with ``_certify_chunk``.  A
+    report does not depend on the other triples of the list.
     """
-    import numpy as np
-
     check_r_const(r_const)
     reports: list[CertificateReport] = []
     for start in range(0, len(triples), CHUNK):
-        chunk = triples[start:start + CHUNK]
-        rows, p_entries, q_entries = [], [], []
-        for g in chunk:
-            k_p, k_d, k_i = g.k_p, g.k_d, g.k_i
-            rows.append(_margins(k_p, k_d, k_i, constants, kappa, r_const))
-            p, q = _bound_entries(
-                k_p, k_d, k_i, None, kappa, 1.0, constants.delta, constants.i_max,
-            )
-            p_entries.append(p)
-            q_entries.append(q)
-        p_s, q_s = np.array(p_entries), np.array(q_entries)
-        _check_finite(p_s, q_s)
-        p_eigs = np.linalg.eigvalsh(p_s).tolist()
-        q_eigs = np.linalg.eigvalsh(q_s).tolist()
-        for row, p_row, q_row in zip(rows, p_eigs, q_eigs):
+        rows, p_eigs, q_eigs = _certify_chunk(
+            triples[start:start + CHUNK], constants, kappa, r_const,
+        )
+        for row, p_row, q_row in zip(rows, p_eigs.tolist(), q_eigs.tolist()):
             reports.append(CertificateReport(
                 *row, tuple(p_row), tuple(q_row), p_row[0] > 0.0, q_row[0] > 0.0,
             ))

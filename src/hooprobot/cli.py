@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import math
 import os
 import sys
@@ -416,6 +415,25 @@ def cmd_equilibrium(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) ->
     return 0
 
 
+def _sweep_chunk(
+    chunk: list[Gains], constants: certificate.DerivedConstants, kappa: float,
+    r_const: float,
+) -> tuple[str, int, float]:
+    """The CSV lines of one chunk of ``sweep``, its certified count and its
+    least lambda_min(P_s); ``--jobs N`` workers send back this text, not reports."""
+    rows, p_eigs, q_eigs = certificate._certify_chunk(chunk, constants, kappa, r_const)
+    # the CertificateReport fields k_p .. passed, one column each
+    k_p, k_d, k_i, *_, k_i_margin, k_p_margin, _, _, _, passed = zip(*rows)
+    lambda_p, lambda_q = p_eigs[:, 0].tolist(), q_eigs[:, 0].tolist()
+    certified = [ok and lam > 0.0 for ok, lam in zip(passed, lambda_p)]
+    floats = (k_p, k_d, k_i, k_i_margin, k_p_margin, lambda_p, lambda_q)
+    text = "".join(map(
+        "{},{},{},{},{},{},{},{}\r\n".format,
+        *(map(repr, column) for column in floats), certified,
+    ))
+    return text, sum(certified), min(lambda_p)
+
+
 def cmd_sweep(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> int:
     if args.count < 1 or args.jobs < 1:
         raise ConfigError(
@@ -426,39 +444,27 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> int:
         triples = certificate.admissible_gain_sample(
             args.count, args.seed, constants, kappa, r_const=args.r_const,
         )
-    certify = partial(
-        certificate.certify_gains, constants=constants, kappa=kappa, r_const=args.r_const,
-    )
+    sweep_chunk = partial(_sweep_chunk, constants=constants, kappa=kappa, r_const=args.r_const)
     chunks = [
         triples[start:start + certificate.CHUNK]
         for start in range(0, len(triples), certificate.CHUNK)
     ]
     from multiprocessing import Pool  # imported here: no other command needs it
 
-    # Reports are reduced to CSV rows one chunk at a time, so a long sweep
-    # never holds more than one chunk of full reports.
-    with Pool(args.jobs) if args.jobs > 1 else nullcontext() as pool:
-        parts = pool.imap(certify, chunks) if pool else map(certify, chunks)
-        rows = [
-            (r.k_p, r.k_d, r.k_i, r.k_i_margin, r.k_p_margin, r.p_eigenvalues[0],
-             r.q_eigenvalues[0], r.passed and r.p_positive_definite)
-            for reports in parts for r in reports
-        ]
+    # Every chunk is certified before --out is opened, so a failed sweep
+    # leaves no file.
+    with _evaluating_certificate(), Pool(args.jobs) if args.jobs > 1 else nullcontext() as pool:
+        texts, counts, minima = zip(*(
+            pool.imap(sweep_chunk, chunks) if pool else map(sweep_chunk, chunks)
+        ))
 
     out_path = Path(args.out)
     with _writing(out_path), open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["k_p", "k_d", "k_i", "k_i_margin", "k_p_margin",
-             "lambda_min_P", "lambda_min_Q", "certified"]
-        )
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    certified = sum(1 for row in rows if row[-1])
-    min_lambda_p = min(row[5] for row in rows)
+        fh.write("k_p,k_d,k_i,k_i_margin,k_p_margin,lambda_min_P,lambda_min_Q,certified\r\n")
+        fh.writelines(texts)
     print(
-        f"swept {len(rows)} admissible gain triples (seed {args.seed}): "
-        f"{certified} certified, min lambda_min(P_s) = {min_lambda_p:.6g}"
+        f"swept {len(triples)} admissible gain triples (seed {args.seed}): "
+        f"{sum(counts)} certified, min lambda_min(P_s) = {min(minima):.6g}"
     )
     print(f"wrote {out_path}")
     return 0

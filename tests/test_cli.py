@@ -595,11 +595,39 @@ class TestCertificateFlags:
     ])
     def test_sweep_exits_two_with_one_line(self, flags, message, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--count", "5", *flags, "--out", str(out)]) == 2
+        for jobs in ("1", "2"):
+            assert main(["sweep", "--count", "5", *flags, "--jobs", jobs,
+                         "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert captured.err.startswith(f"config error: {message}")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_error_in_a_chunk_exits_two_with_one_line(
+        self, jobs, monkeypatch, tmp_path, capsys,
+    ):
+        # A flag whose matrices overflow is hard to find past the sampler's
+        # checks, so the last chunk, a single triple, is made to fail; with
+        # --jobs 2 it fails in a worker, forked with this patch in place.
+        check_finite = certificate._check_finite
+
+        def failing_last_chunk(p_s, q_s):
+            if len(p_s) == 1:
+                raise ValueError("non-finite entry in Lyapunov matrices")
+            check_finite(p_s, q_s)
+
+        monkeypatch.setattr(certificate, "_check_finite", failing_last_chunk)
+        out = tmp_path / "sweep.csv"
+        count = str(certificate.CHUNK + 1)
+        assert main(["sweep", "--count", count, "--jobs", jobs, "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.count("\n") == 1
-        assert captured.err.startswith(f"config error: {message}")
+        assert captured.err == (
+            "config error: certificate undefined at these flags: "
+            "non-finite entry in Lyapunov matrices\n"
+        )
         assert not out.exists()
 
 
@@ -650,38 +678,52 @@ class TestSweepCommand:
         assert captured.err.startswith(f"config error: cannot write {tmp_path}: ")
         assert captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("jobs", ["1", "2", "3"])
     def test_chunked_output_equals_per_triple_loop(self, jobs, tmp_path, capsys):
-        # one triple past a whole chunk, so the last chunk holds a single triple
-        count, seed = certificate.CHUNK + 1, 11
+        seed = 11
         believed = nominal_from_true(build_plant(load_config(None)), 1.0)
         constants = certificate.derived_constants(believed, 6.0)
         kappa = certificate.kappa_mid(constants)
-        rows = []
-        for g in certificate.admissible_gain_sample(count, seed, constants, kappa):
-            report = certificate.check_gains(
-                Gains(k_p=g.k_p, k_d=g.k_d, k_i=g.k_i), constants, kappa, r_const=1.0,
-            )
-            rows.append((
-                g.k_p, g.k_d, g.k_i, report.k_i_margin, report.k_p_margin,
-                report.p_eigenvalues[0], report.q_eigenvalues[0],
-                report.passed and report.p_positive_definite,
-            ))
-        expected = tmp_path / "expected.csv"
-        with open(expected, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k_p", "k_d", "k_i", "k_i_margin", "k_p_margin",
-                             "lambda_min_P", "lambda_min_Q", "certified"])
-            for row in rows:
-                writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        # one triple past whole chunks, so the last chunk holds a single triple
+        for count in (certificate.CHUNK + 1, 2 * certificate.CHUNK + 1):
+            rows = []
+            for g in certificate.admissible_gain_sample(count, seed, constants, kappa):
+                report = certificate.check_gains(
+                    Gains(k_p=g.k_p, k_d=g.k_d, k_i=g.k_i), constants, kappa, r_const=1.0,
+                )
+                rows.append((
+                    g.k_p, g.k_d, g.k_i, report.k_i_margin, report.k_p_margin,
+                    report.p_eigenvalues[0], report.q_eigenvalues[0],
+                    report.passed and report.p_positive_definite,
+                ))
+            expected = tmp_path / "expected.csv"
+            with open(expected, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["k_p", "k_d", "k_i", "k_i_margin", "k_p_margin",
+                                 "lambda_min_P", "lambda_min_Q", "certified"])
+                for row in rows:
+                    writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
+            out = tmp_path / "sweep.csv"
+            assert main(["sweep", "--count", str(count), "--seed", str(seed),
+                         "--jobs", jobs, "--out", str(out)]) == 0
+            assert out.read_bytes() == expected.read_bytes()
+            summary = capsys.readouterr().out.splitlines()[0]
+            assert summary == (
+                f"swept {count} admissible gain triples (seed {seed}): "
+                f"{sum(1 for row in rows if row[-1])} certified, "
+                f"min lambda_min(P_s) = {min(row[5] for row in rows):.6g}"
+            )
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_builds_no_reports_and_no_csv_writer(self, jobs, monkeypatch, tmp_path):
+        # sweep turns each chunk's rows straight into text, in every process
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sweep left its text path")
+
+        monkeypatch.setattr(certificate, "CertificateReport", forbidden)
+        monkeypatch.setattr(csv, "writer", forbidden)
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--count", str(count), "--seed", str(seed),
-                     "--jobs", jobs, "--out", str(out)]) == 0
-        assert out.read_bytes() == expected.read_bytes()
-        summary = capsys.readouterr().out.splitlines()[0]
-        assert summary == (
-            f"swept {count} admissible gain triples (seed {seed}): "
-            f"{sum(1 for row in rows if row[-1])} certified, "
-            f"min lambda_min(P_s) = {min(row[5] for row in rows):.6g}"
-        )
+        assert main(["sweep", "--count", str(certificate.CHUNK + 1), "--jobs", jobs,
+                     "--out", str(out)]) == 0
+        assert out.read_text().count("\n") == certificate.CHUNK + 2
