@@ -5,12 +5,13 @@ inequalities (an upper bound on the integral gain, a lower bound on the
 proportional gain) plus a pair of 3x3 matrices: P_s bounding the Lyapunov
 function from below and Q_s bounding its decay rate.  This module evaluates
 all of them numerically for a concrete parameter set so a gain choice can be
-audited before running anything.  There is one evaluation path,
-``_certify_chunk``.  ``certify_gains`` wraps its rows into reports, and
-``check_gains`` is ``certify_gains`` of one triple; ``hooprobot sweep`` turns
-the rows straight into CSV text.  All take the believed plant as one
-``DerivedConstants``.  ``lyapunov_matrices`` computes the eigenvalues one
-matrix at a time and is the per-matrix reference for that path.
+audited before running anything.  There is one batch audit,
+``certify_chunk``: ``check_gains`` wraps its row of one triple into a
+``CertificateReport``, and ``hooprobot check-gains --sweep`` and ``sweep``
+turn the rows of each chunk straight into their tables.  All take the
+believed plant as one ``DerivedConstants``.  ``lyapunov_matrices`` computes
+the eigenvalues one matrix at a time and is the per-matrix reference for
+that path.
 
 Caveat recorded here because it is easy to trip over: the positive
 definiteness of P_s under the stated gain conditions is an asymptotic claim.
@@ -198,7 +199,9 @@ def check_gains(
     general theory, not the hoop radius; it is exposed as ``r_const``
     (default 1).
     """
-    return certify_gains([g], constants, kappa, r_const)[0]
+    (row,), p_eigs, q_eigs = certify_chunk([g], constants, kappa, r_const)
+    (p_row,), (q_row,) = p_eigs.tolist(), q_eigs.tolist()
+    return CertificateReport(*row, tuple(p_row), tuple(q_row), p_row[0] > 0.0, q_row[0] > 0.0)
 
 
 def proof_matrices(
@@ -290,7 +293,7 @@ class LyapunovEigs(NamedTuple):
 def lyapunov_matrices(g: Gains, constants: DerivedConstants, kappa: float) -> LyapunovEigs:
     """Eigenvalues and definiteness flags of the bound matrices P_s and Q_s,
     with ``proof_matrices``' default alpha and theta_bound 1, one matrix at a
-    time: the reference for the stacked eigenvalues of ``certify_gains``."""
+    time: the reference for the stacked eigenvalues of ``certify_chunk``."""
     import numpy as np
 
     p_s, q_s = proof_matrices(g, None, kappa, 1.0, constants.i_min, constants.i_max)
@@ -304,14 +307,14 @@ def lyapunov_matrices(g: Gains, constants: DerivedConstants, kappa: float) -> Ly
     )
 
 
-# Triples per stacked eigvalsh call in _certify_chunk: large enough that numpy's
+# Triples per stacked eigvalsh call of a chunked audit: large enough that numpy's
 # per-call overhead is spread thin, small enough that one chunk's entry lists
 # and (n, 3, 3) stacks stay small next to the triples of a long sweep.
 CHUNK = 512
 
 
-def _certify_chunk(
-    chunk: Sequence[Gains],
+def certify_chunk(
+    triples: Sequence[Gains],
     constants: DerivedConstants,
     kappa: float,
     r_const: float,
@@ -319,15 +322,16 @@ def _certify_chunk(
     """Per triple the ``CertificateReport`` fields k_p .. passed, and the
     eigenvalues of P_s and of Q_s as (n, 3) arrays: one stacked ``eigvalsh``
     call per matrix, bit for bit ``lyapunov_matrices``' one call per matrix.
-    A row does not depend on the other triples of the chunk.
+    Takes any number of triples, none too; a row does not depend on the others.
     """
     import numpy as np
 
+    check_r_const(r_const)
     delta, mu, i_max = constants.delta, constants.mu, constants.i_max
     lo, hi = constants.kappa_range
     kappa_ok = lo < kappa < hi
     rows, p_flat, q_flat = [], [], []
-    for g in chunk:
+    for g in triples:
         k_p, k_d, k_i = g.k_p, g.k_d, g.k_i
         k_i_upper = _k_i_upper(k_d, delta, mu)
         k_1, k_2, k_p_floor = gain_thresholds(k_d, k_i, kappa, r_const)
@@ -345,30 +349,6 @@ def _certify_chunk(
     q_s = np.array(q_flat).reshape(-1, 3, 3)
     _check_finite(p_s, q_s)
     return rows, np.linalg.eigvalsh(p_s), np.linalg.eigvalsh(q_s)
-
-
-def certify_gains(
-    triples: Sequence[Gains],
-    constants: DerivedConstants,
-    kappa: float,
-    r_const: float,
-) -> list[CertificateReport]:
-    """Audit each triple: gain conditions, margins and Lyapunov eigenvalues.
-
-    Works through ``CHUNK`` triples at a time with ``_certify_chunk``.  A
-    report does not depend on the other triples of the list.
-    """
-    check_r_const(r_const)
-    reports: list[CertificateReport] = []
-    for start in range(0, len(triples), CHUNK):
-        rows, p_eigs, q_eigs = _certify_chunk(
-            triples[start:start + CHUNK], constants, kappa, r_const,
-        )
-        for row, p_row, q_row in zip(rows, p_eigs.tolist(), q_eigs.tolist()):
-            reports.append(CertificateReport(
-                *row, tuple(p_row), tuple(q_row), p_row[0] > 0.0, q_row[0] > 0.0,
-            ))
-    return reports
 
 
 class MonitorResult(NamedTuple):

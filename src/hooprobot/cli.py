@@ -299,6 +299,9 @@ def cmd_simulate(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> in
         except WriterError as exc:
             if exc.status < 0:  # a signal ended the writer before it could say why
                 print(f"error: {exc}", file=sys.stderr)
+        except KeyboardInterrupt:  # the new rows are written; no earlier manifest stays
+            write_manifest(out_dir / "manifest.ini", cfg)
+            raise
         write_manifest(out_dir / "manifest.ini", cfg, summary)
     if summary is None:
         return 1
@@ -342,6 +345,17 @@ def _evaluating_certificate():
         raise ConfigError(f"certificate undefined at these flags: {exc}") from exc
 
 
+def _table_columns(triples: list[Gains], constants: certificate.DerivedConstants,
+                   kappa: float, r_const: float) -> tuple:
+    """k_p, k_d, k_i, k_i_margin, k_p_margin, lambda_min(P_s), lambda_min(Q_s)
+    and passed of one or more triples: the columns of both gain tables."""
+    rows, p_eigs, q_eigs = certificate.certify_chunk(triples, constants, kappa, r_const)
+    # a row holds the CertificateReport fields k_p .. passed
+    k_p, k_d, k_i, *_, k_i_margin, k_p_margin, _, _, _, passed = zip(*rows)
+    lambda_p, lambda_q = p_eigs[:, 0].tolist(), q_eigs[:, 0].tolist()
+    return k_p, k_d, k_i, k_i_margin, k_p_margin, lambda_p, lambda_q, passed
+
+
 def cmd_check_gains(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> int:
     gains, constants, kappa = _certificate_inputs(cfg, args)
 
@@ -375,22 +389,22 @@ def cmd_check_gains(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) ->
                 )
             count += 1
             value += step
-        value = start
-        for first in range(0, count or 1, certificate.CHUNK):
+        # the header goes out with the first certified chunk, or alone
+        value, header = start, f"{name}\tk_i_margin\tk_p_margin\tlambda_min_P\tpassed\n"
+        for first in range(0, count, certificate.CHUNK):
             values = []
             for _ in range(min(certificate.CHUNK, count - first)):
                 values.append(value)
                 value += step
             candidates = [replace(gains, **{field: v}) for v in values]
             with _evaluating_certificate():
-                reports = certificate.certify_gains(candidates, constants, kappa, args.r_const)
-            if first == 0:
-                print(f"{name}\tk_i_margin\tk_p_margin\tlambda_min_P\tpassed")
-            for v, report in zip(values, reports):
-                print(
-                    f"{v:g}\t{report.k_i_margin:.6g}\t{report.k_p_margin:.6g}"
-                    f"\t{report.p_eigenvalues[0]:.6g}\t{report.passed}"
-                )
+                *_, k_i_margin, k_p_margin, lambda_p, _, passed = _table_columns(
+                    candidates, constants, kappa, args.r_const)
+            sys.stdout.write(header + "".join(map(
+                "{:g}\t{:.6g}\t{:.6g}\t{:.6g}\t{}\n".format,
+                values, k_i_margin, k_p_margin, lambda_p, passed)))
+            header = ""
+        sys.stdout.write(header)
         return 0
 
     with _evaluating_certificate():
@@ -421,12 +435,9 @@ def _sweep_chunk(
 ) -> tuple[str, int, float]:
     """The CSV lines of one chunk of ``sweep``, its certified count and its
     least lambda_min(P_s); ``--jobs N`` workers send back this text, not reports."""
-    rows, p_eigs, q_eigs = certificate._certify_chunk(chunk, constants, kappa, r_const)
-    # the CertificateReport fields k_p .. passed, one column each
-    k_p, k_d, k_i, *_, k_i_margin, k_p_margin, _, _, _, passed = zip(*rows)
-    lambda_p, lambda_q = p_eigs[:, 0].tolist(), q_eigs[:, 0].tolist()
+    *floats, passed = _table_columns(chunk, constants, kappa, r_const)
+    lambda_p = floats[5]
     certified = [ok and lam > 0.0 for ok, lam in zip(passed, lambda_p)]
-    floats = (k_p, k_d, k_i, k_i_margin, k_p_margin, lambda_p, lambda_q)
     text = "".join(map(
         "{},{},{},{},{},{},{},{}\r\n".format,
         *(map(repr, column) for column in floats), certified,
@@ -528,7 +539,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     _add_config_flags(p_chk, "plant", "controller")
     _add_certificate_flags(p_chk)
     p_chk.add_argument("--sweep", nargs=2, metavar=("PARAM", "START:STOP:STEP"),
-                       help="tabulate margins while sweeping kp, kd or ki")
+                       help="tabulate margins while sweeping kp, kd or ki; a start <= 0 exits 2")
     p_chk.set_defaults(func=cmd_check_gains)
 
     p_eq = sub.add_parser("equilibrium", help="steady actuator angle and max incline")

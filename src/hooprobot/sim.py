@@ -554,10 +554,11 @@ def integrate(cfg: SimConfig) -> Trajectory:
     """Run the closed loop; returns the recorded trajectory.
 
     Raises DivergenceError (with the partial trajectory attached) if any
-    state component leaves [-1e6, 1e6] or becomes non-finite.  In hold mode
-    the control torque is recomputed every ``hold_dt`` and frozen in between,
-    while the integrator state keeps its continuous dynamics; by default the
-    torque follows the stage states exactly.
+    state component leaves [-1e6, 1e6] or becomes non-finite, or a value
+    within a step overflows when squared.  In hold mode the control torque
+    is recomputed every ``hold_dt`` and frozen in between, while the
+    integrator state keeps its continuous dynamics; by default the torque
+    follows the stage states exactly.
 
     Each RK4 step samples the reference once per distinct time: the sample
     at t serves k1 and the recorded row, the one at t + dt/2 serves k2 and
@@ -632,21 +633,25 @@ def loop(p, n, g, reference, record, flush, traj, dt, steps, stride, hold_steps,
 {constants}
     half, sixth, limit = dt / 2.0, dt / 6.0, DIVERGENCE_LIMIT
     held = None  # hold mode: the (tau_u, tilde) frozen at the last instant
-    for i in range(steps + 1):
-        t = i * dt
-        ref = reference(t)
+    try:
+        for i in range(steps + 1):
+            t = i * dt
+            ref = reference(t)
 {k1}
-        if i % stride == 0:
-            record(t, ref, (theta, o, omega, theta_a, omega_a, o_i), tau_u, tilde)
-            if flush is not None and len(traj.t) % CSV_CHUNK == 0:
-                flush()
-        if i == steps:
-            break
+            if i % stride == 0:
+                record(t, ref, (theta, o, omega, theta_a, omega_a, o_i), tau_u, tilde)
+                if flush is not None and len(traj.t) % CSV_CHUNK == 0:
+                    flush()
+            if i == steps:
+                break
 {k2_to_k4}
-        if not ({bounded}):  # a NaN fails as well
-            traj.diverged_at = t + dt
-            raise DivergenceError(t + dt, (theta, o, omega, theta_a, omega_a, o_i), traj)
+            if not ({bounded}):  # a NaN fails as well
+                traj.diverged_at = t + dt
+                raise DivergenceError(t + dt, (theta, o, omega, theta_a, omega_a, o_i), traj)
 {advance}
+    except OverflowError as exc:  # x**2 past about 1.3e154 raises where x*x gives inf
+        traj.diverged_at = t + dt
+        raise DivergenceError(t + dt, (theta, o, omega, theta_a, omega_a, o_i), traj) from exc
 """
 _RATES = (("theta", "omega"), ("o", "o_rate"), ("omega", "omega_dot"),
           ("theta_a", "omega_a"), ("omega_a", "omega_a_dot"), ("o_i", "o_i_rate"))
@@ -678,10 +683,10 @@ def _loop_source(open_loop: bool, feedforward: bool, hold: bool) -> str:
                for x, r in _RATES]
     return _LOOP.format(
         constants=indent(_CONSTANTS, "    ").rstrip("\n"),
-        k1=indent((sample and sample + "ref\n") + k1, " " * 8).rstrip("\n"),
-        k2_to_k4=indent("".join(stages), " " * 8).rstrip("\n"),
+        k1=indent((sample and sample + "ref\n") + k1, " " * 12).rstrip("\n"),
+        k2_to_k4=indent("".join(stages), " " * 12).rstrip("\n"),
         bounded=" and ".join(f"-limit <= {x}_n <= limit" for x, _ in _RATES),
-        advance="\n".join(f"        {x} = {x}_n" for x, _ in _RATES),
+        advance="\n".join(f"            {x} = {x}_n" for x, _ in _RATES),
     )
 
 

@@ -12,7 +12,7 @@ from hooprobot.certificate import (
     CHUNK,
     CertificateReport,
     admissible_gain_sample,
-    certify_gains,
+    certify_chunk,
     check_gains,
     derived_constants,
     gain_thresholds,
@@ -284,9 +284,9 @@ class TestCertifyGains:
     def test_equals_check_gains_field_for_field(
         self, count, drawn, seed, r_const, kappa_scale, scales, k_x,
     ):
-        # check_gains is certify_gains of one triple, so this compares each
-        # report of a list with the audit of its triple alone, and that audit
-        # with the per-matrix eigenvalues and the thresholds
+        # check_gains wraps the row of its one triple, so this compares each
+        # row of a batch with the audit of its triple alone, and the row with
+        # the per-matrix eigenvalues and the thresholds
         believed = NominalParams(*(scale * getattr(BELIEVED, name) for scale, name in
                                    zip(scales, ("m_h", "i_h", "r", "m_a", "i_a", "l"))))
         c = derived_constants(believed, k_x)
@@ -297,29 +297,33 @@ class TestCertifyGains:
             k_d = rng.uniform(0.2, 15.0)
             triples.append(Gains(k_p=rng.uniform(0.01, 2000.0), k_d=k_d,
                                  k_i=rng.uniform(0.01, 1.2) * k_d**3))
-        batch = certify_gains(triples, c, kappa, r_const)
-        assert len(batch) == count
-        for g, got in zip(triples, batch):
-            (want,) = certify_gains([g], c, kappa, r_const)
-            for f in fields(CertificateReport):
-                assert hexed(getattr(got, f.name)) == hexed(getattr(want, f.name)), f.name
+        rows, p_eigs, q_eigs = certify_chunk(triples, c, kappa, r_const)
+        assert len(rows) == count and p_eigs.shape == q_eigs.shape == (count, 3)
+        # a row holds the report fields k_p .. passed; the eigenvalues follow
+        names = [f.name for f in fields(CertificateReport)][:-2]
+        for g, row, p_row, q_row in zip(triples, rows, p_eigs.tolist(), q_eigs.tolist()):
+            got = dict(zip(names, [*row, tuple(p_row), tuple(q_row)], strict=True))
+            want = check_gains(g, c, kappa, r_const)
+            for name, value in got.items():
+                assert hexed(value) == hexed(getattr(want, name)), name
             eigs = lyapunov_matrices(g, c, kappa)
-            assert hexed(got.p_eigenvalues) == hexed(tuple(eigs.p_eigenvalues.tolist()))
-            assert hexed(got.q_eigenvalues) == hexed(tuple(eigs.q_eigenvalues.tolist()))
-            assert got.p_positive_definite == eigs.p_positive_definite
-            assert got.q_positive_definite == eigs.q_positive_definite
+            assert hexed(got["p_eigenvalues"]) == hexed(tuple(eigs.p_eigenvalues.tolist()))
+            assert hexed(got["q_eigenvalues"]) == hexed(tuple(eigs.q_eigenvalues.tolist()))
+            assert want.p_positive_definite == eigs.p_positive_definite
+            assert want.q_positive_definite == eigs.q_positive_definite
             floor = gain_thresholds(g.k_d, g.k_i, kappa, r_const)[2]
-            assert hexed(got.k_p_floor) == hexed(floor)
+            assert hexed(got["k_p_floor"]) == hexed(floor)
 
     def test_mixed_verdicts_are_reported(self):
         c = derived_constants(BELIEVED, 6.0)
         kappa = kappa_mid(c)
-        reports = certify_gains([GAINS, Gains(120.0, 7.0, 4.0)], c, kappa, 1.0)
-        assert [r.passed for r in reports] == [False, True]
+        rows, _, _ = certify_chunk([GAINS, Gains(120.0, 7.0, 4.0)], c, kappa, 1.0)
+        assert [row[-1] for row in rows] == [False, True]  # passed ends a row
 
     def test_empty_input_gives_no_reports(self):
         c = derived_constants(BELIEVED, 6.0)
-        assert certify_gains([], c, kappa_mid(c), 1.0) == []
+        rows, p_eigs, q_eigs = certify_chunk([], c, kappa_mid(c), 1.0)
+        assert rows == [] and p_eigs.shape == q_eigs.shape == (0, 3)
 
     @pytest.mark.parametrize("position", [0, CHUNK])
     def test_non_finite_entry_raises(self, position):
@@ -331,13 +335,13 @@ class TestCertifyGains:
         triples = [Gains(120.0, 7.0, 4.0)] * (CHUNK + 1)
         triples[position] = huge
         with pytest.raises(ValueError, match="non-finite"):
-            certify_gains(triples, c, kappa_mid(c), 1.0)
+            certify_chunk(triples, c, kappa_mid(c), 1.0)
 
     def test_validates_like_the_scalar_path(self):
         c = derived_constants(BELIEVED, 6.0)
         kappa = kappa_mid(c)
         with pytest.raises(ValueError, match="r_const"):
-            certify_gains([GAINS], c, kappa, 0.0)
+            certify_chunk([GAINS], c, kappa, 0.0)
 
 
 class TestReport:

@@ -280,6 +280,49 @@ class TestSimulateCommand:
         assert "summary" not in manifest
         assert manifest["controller"]["k_p"] == "1e+308"
 
+    def test_overflow_rewrites_files_of_an_earlier_run(self, tmp_path, capsys):
+        # k_p 1e200 takes a stage's omega_a past 1.3e154, where omega_a**2 raises
+        out = tmp_path / "run"
+        assert main(["simulate", "--t-end", "0.5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--kp", "1e200", "--t-end", "0.01", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: simulation diverged at t=0.001000: state magnitude "
+                                "exceeded 1e+06 or became non-finite\n")
+        assert len(assert_figures_match_trajectory(out)) == 1  # the row at t = 0
+        manifest = configparser.ConfigParser(interpolation=None)
+        manifest.read(out / "manifest.ini")
+        assert "summary" not in manifest
+        assert manifest["controller"]["k_p"] == "1e+200"
+
+    def test_interrupt_rewrites_the_manifest_of_an_earlier_run(
+        self, monkeypatch, tmp_path, leaves_no_child_or_fd,
+    ):
+        out = tmp_path / "run"
+        assert main(["simulate", "--t-end", "0.5", "--out", str(out)]) == 0
+        build = SimConfig.reference
+
+        def interrupted(self):
+            reference = build(self)
+
+            def sample_until_ctrl_c(t):
+                if t >= 0.3:  # the step from t = 0.299 is the last to start
+                    raise KeyboardInterrupt
+                return reference(t)
+
+            return sample_until_ctrl_c
+
+        monkeypatch.setattr(SimConfig, "reference", interrupted)
+        with leaves_no_child_or_fd():
+            with pytest.raises(KeyboardInterrupt):
+                main(["simulate", "--t-end", "600", "--out", str(out)])
+        assert len(assert_figures_match_trajectory(out)) == 30  # t = 0 to 0.29
+        manifest = configparser.ConfigParser(interpolation=None)
+        manifest.read(out / "manifest.ini")
+        assert "summary" not in manifest
+        assert manifest["simulation"]["t_end"] == "600.0"
+
     @pytest.mark.parametrize("occupied", ["out", "out/trajectory.csv"])
     def test_unwritable_out_exits_two_with_one_line(self, occupied, tmp_path, capfd,
                                                     leaves_no_child_or_fd):
@@ -474,7 +517,7 @@ class TestCheckGainsCommand:
                            f"{report.p_eigenvalues[0]:.6g}", str(report.passed)]
 
     def test_long_sweep_prints_the_table_chunk_by_chunk(self, monkeypatch, capsys):
-        # the table the command printed when it certified every value at once
+        # the table of every value's audit alone
         believed = nominal_from_true(build_plant(load_config(None)), 1.0)
         constants = certificate.derived_constants(believed, 6.0)
         values, value = [], 0.3
@@ -482,24 +525,48 @@ class TestCheckGainsCommand:
             values.append(value)
             value += 0.3
         assert len(values) == 1300
-        reports = certificate.certify_gains(
-            [replace(build_gains(load_config(None)), k_p=v) for v in values],
-            constants, certificate.kappa_mid(constants), 1.0,
-        )
+        reports = [
+            certificate.check_gains(replace(build_gains(load_config(None)), k_p=v),
+                                    constants, certificate.kappa_mid(constants), 1.0)
+            for v in values
+        ]
         expected = "kp\tk_i_margin\tk_p_margin\tlambda_min_P\tpassed\n" + "".join(
             f"{v:g}\t{r.k_i_margin:.6g}\t{r.k_p_margin:.6g}\t{r.p_eigenvalues[0]:.6g}"
             f"\t{r.passed}\n" for v, r in zip(values, reports)
         )
-        sizes, certify = [], certificate.certify_gains
+        sizes, certify = [], certificate.certify_chunk
 
         def counted(triples, *args):
             sizes.append(len(triples))
             return certify(triples, *args)
 
-        monkeypatch.setattr(certificate, "certify_gains", counted)
+        monkeypatch.setattr(certificate, "certify_chunk", counted)
         assert main(["check-gains", "--sweep", "kp", "0.3:390.1:0.3"]) == 0
         assert capsys.readouterr().out == expected
         assert max(sizes) <= certificate.CHUNK and sum(sizes) == 1300
+
+    def test_sweep_table_builds_no_reports(self, monkeypatch, capsys):
+        # each chunk's rows go straight into the table's text
+        def forbidden(*args, **kwargs):
+            raise AssertionError("check-gains --sweep built a report")
+
+        monkeypatch.setattr(certificate, "CertificateReport", forbidden)
+        assert main(["check-gains", "--sweep", "kp", "90:100:5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("kp\t") and len(lines) == 4
+
+    def test_sweep_negative_start_is_a_usage_error(self, capsys):
+        # argparse reads "-1e16:2e16:1" as an option; no start <= 0 is a valid
+        # gain, so the range would exit 2 all the same
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check-gains", "--sweep", "kp", "-1e16:2e16:1"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: hooprobot check-gains ")
+        assert captured.err.endswith(
+            "hooprobot check-gains: error: argument --sweep: expected 2 arguments\n"
+        )
 
     def test_sweep_rejects_bad_range_argument(self, capsys):
         assert main(["check-gains", "--sweep", "kp", "1:2"]) == 2

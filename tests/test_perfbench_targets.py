@@ -49,3 +49,24 @@ def test_workloads_call_the_package_as_it_is(monkeypatch):
     cfgs, again = workloads.Ensemble(1).configs(hooprobot, 0)
     assert all(isinstance(cfg, hooprobot.sim.SimConfig) for cfg in cfgs)
     assert 0 <= again < len(cfgs)
+
+
+def test_workload_argv_runs_through_the_cli(monkeypatch, tmp_path):
+    # every argv shape the workloads build, at tiny sizes: a flag they pass
+    # that the CLI stopped taking would otherwise fail every benchmark operation
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    cli = importlib.import_module("hooprobot.cli")
+    first, short = tmp_path / "first", ["--t-end", "0.05"]
+    argvs = [
+        ["simulate", *workloads.SIM_FLAGS, *short, "--stride", "10", "--out", str(first)],
+        ["simulate", "--config", str(first / "manifest.ini"), "--out", str(tmp_path / "rerun")],
+        ["simulate", *workloads.SIM_FLAGS, *short, "--scenario", "sinusoid", "--feedforward",
+         "--stride", "1", "--out", str(tmp_path / "dense")],
+        ["check-gains", *workloads.PLANT_FLAGS, "--kd", "5.0", "--ki", "3.0",
+         "--sweep", "kp", "20.0:21.0:0.5"],
+        *(["sweep", *workloads.PLANT_FLAGS, "--count", "3", "--seed", "7", "--jobs", jobs,
+           "--out", str(tmp_path / f"jobs{jobs}.csv")] for jobs in ("1", "2")),
+    ]
+    for argv in argvs:
+        assert cli.main(argv) == 0, argv

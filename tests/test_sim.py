@@ -4,6 +4,7 @@ import math
 import os
 import random
 import traceback
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -244,6 +245,28 @@ class TestIntegrate:
         assert err.time == pytest.approx(1e-3)
         assert err.trajectory.diverged_at == err.time
         assert len(err.trajectory) == 1  # only the initial sample was recorded
+
+    @pytest.mark.parametrize("k_p, overrides, rows", [
+        (1e200, {}, 1),
+        (16.0, dict(initial=HoopState(0.0, 1e300, -0.1, 0.0, 0.1)), 1),
+        (16.0, dict(scenario="ramp", ramp_v=1e300), 1),
+        (1e300, dict(hold_dt=0.01), 1),
+        # the energy of the row at t = 0 overflows
+        (16.0, dict(initial=HoopState(0.0, -2.0, 1e200, 0.0, 0.1), open_loop=True), 0),
+    ], ids=["kp", "o0", "ramp_v", "hold", "open_loop"])
+    def test_overflow_diverges_with_the_rows_recorded_before_it(self, k_p, overrides, rows):
+        # x**2 of a double past about 1.3e154 raises OverflowError, where
+        # x*x would give inf
+        cfg = replace(make_config(t_end=1.0, **overrides), gains=Gains(k_p, 7.0, 4.0, 0.1))
+        with pytest.raises(DivergenceError, match="diverged at") as excinfo:
+            integrate(cfg)
+        err = excinfo.value
+        assert isinstance(err.__cause__, OverflowError)
+        assert err.time == pytest.approx(1e-3)
+        assert err.trajectory.diverged_at == err.time
+        assert len(err.trajectory) == rows
+        s = cfg.initial
+        assert err.state == (s.theta, s.o, s.omega, s.theta_a, s.omega_a, 0.0)
 
     def test_hold_mode_still_converges(self):
         held = integrate(make_config(t_end=40.0, hold_dt=0.01))
