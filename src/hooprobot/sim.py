@@ -12,9 +12,11 @@ The closed-loop stage (controller, regularizer and plant derivative in one
 body) is held once, as a source template, bit-identical to the composition
 of the modular functions in ``controller``, ``regularizer`` and ``plant``,
 its readable reference and test oracle; squares stay ``**2`` as there.  It
-is compiled once per process for each combination of flags: as the stage
-function of ``closed_loop``, and inlined at the four stages of each step of
-``integrate``'s RK4 loop, which so makes no stage calls.
+is compiled as the stage function of ``closed_loop``, and inlined at the
+four stages of each step of ``integrate``'s RK4 loop next to the scenario's
+sample text from ``reference`` and the recorded row; so the loop, compiled
+once per process for each scenario and combination of flags, makes no
+stage, reference or record calls.
 
 The energy and Lagrangian-oracle routines are deliberately built from the
 frame geometry rather than the closed-form reduced equations, so they can
@@ -32,7 +34,6 @@ writers share one formatting loop, so their files are byte-identical.
 from __future__ import annotations
 
 import functools
-import linecache
 import math
 import os
 import re
@@ -52,7 +53,9 @@ from .plant import (
     SingularCouplingError,
     coupling_gain,
 )
-from .reference import SCENARIOS, Reference, ReferenceSample, make_reference
+from .reference import (
+    SAMPLES, SCENARIOS, Reference, ReferenceSample, define, make_reference, sample_source,
+)
 from .regularizer import NominalParams
 
 DIVERGENCE_LIMIT = 1e6
@@ -91,11 +94,11 @@ class WriterError(RuntimeError):
         self.status = status
 
 
-# The make_reference parameters of each scenario, as (keyword, SimConfig field).
+# The make_reference keywords of each scenario, as (keyword, SimConfig field).
 _SCENARIO_PARAMS = {
-    "fixed_point": (),
-    "ramp": (("v", "ramp_v"),),
-    "sinusoid": (("amplitude", "sin_amplitude"), ("rate", "sin_rate")),
+    "fixed_point": (("o0", "o_ref0"),),
+    "ramp": (("o0", "o_ref0"), ("v", "ramp_v")),
+    "sinusoid": (("o0", "o_ref0"), ("amplitude", "sin_amplitude"), ("rate", "sin_rate")),
 }
 
 
@@ -147,9 +150,12 @@ class SimConfig:
                 )
         self.reference()  # the scenario's own checks (a sinusoid rate > 0) run now
 
+    def _reference_params(self) -> dict:
+        """The keywords of ``make_reference`` after the scenario."""
+        return {key: getattr(self, name) for key, name in _SCENARIO_PARAMS[self.scenario]}
+
     def reference(self) -> Reference:
-        params = {key: getattr(self, name) for key, name in _SCENARIO_PARAMS[self.scenario]}
-        return make_reference(self.scenario, self.o_ref0, **params)
+        return make_reference(self.scenario, **self._reference_params())
 
 
 @dataclass
@@ -207,16 +213,16 @@ def _table_writer(tables: list, reference: Optional[Reference]) -> Callable[[lis
 
     A block holds, in the order of ``CSV_COLUMNS``, one sequence of floats
     per column.  Within a block every column that any table needs is turned
-    into text once, by ``repr``, and each table's lines are joined from
-    those strings.
+    into text once, by ``repr``, and each table's block is joined from those
+    strings into one string, written at once; an empty block writes nothing.
     """
     needed = list(dict.fromkeys(name for _, columns, _ in tables for name in columns))
-    sinks = []
     for fh, columns, end in tables:
         fh.write(",".join(columns) + end)
-        sinks.append((fh.writelines, ",".join(["{}"] * len(columns)) + end, columns))
 
     def write(block: list) -> None:
+        if not block[0]:
+            return
         values = dict(zip(CSV_COLUMNS, block))
         text = {}
         for name in needed:
@@ -224,8 +230,8 @@ def _table_writer(tables: list, reference: Optional[Reference]) -> Callable[[lis
                 text[name] = [repr(reference(t).o_ref) for t in values["t"]]
             else:
                 text[name] = list(map(repr, values[name]))
-        for writelines, line, columns in sinks:
-            writelines(map(line.format, *(text[name] for name in columns)))
+        for fh, columns, end in tables:
+            fh.write(end.join(map(",".join, zip(*(text[name] for name in columns)))) + end)
 
     return write
 
@@ -499,15 +505,6 @@ def _stage_source(open_loop: bool, feedforward: bool, torque: str, suffix: str =
     return source
 
 
-def _define(name: str, source: str, flags: str) -> Callable:
-    """The function ``name`` that ``source`` defines; tracebacks show its lines."""
-    filename = f"<hooprobot.sim {name} {flags}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace: dict = {}
-    exec(compile(source, filename, "exec"), globals(), namespace)
-    return namespace[name]
-
-
 @functools.cache
 def _stage_factory(open_loop: bool, feedforward: bool) -> Callable:
     sample = "" if open_loop else "o_ref, o_dot_ref, o_ddot_ref = ref\n"
@@ -518,7 +515,7 @@ def _stage_factory(open_loop: bool, feedforward: bool) -> Callable:
         + "        rates = (omega, neg_r * omega, omega_dot, omega_a, omega_a_dot, o_i_rate)\n"
         + "        return rates, tau_u, tilde\n    return stage\n"
     )
-    return _define("factory", source, f"open_loop={open_loop} feedforward={feedforward}")
+    return define("factory", source, f"open_loop={open_loop} feedforward={feedforward}", globals())
 
 
 def closed_loop(cfg: SimConfig) -> Callable[[ReferenceSample, tuple, Optional[tuple]], tuple]:
@@ -560,12 +557,11 @@ def integrate(cfg: SimConfig) -> Trajectory:
     integrator state keeps its continuous dynamics; by default the torque
     follows the stage states exactly.
 
-    Each RK4 step samples the reference once per distinct time: the sample
-    at t serves k1 and the recorded row, the one at t + dt/2 serves k2 and
-    k3, the one at t + dt serves k4.  An open loop, whose stages ignore the
-    sample, samples only at t.  A recorded row takes its energy from the
-    plant constants read once per run; ``energy`` is its oracle, equal bit
-    for bit.
+    Each RK4 step runs the scenario's sample text once per distinct time:
+    at t for k1 and the recorded row, at t + dt/2 for k2 and k3, at t + dt
+    for k4; an open loop, whose stages ignore the sample, only at t for a
+    recorded row.  An overflow in k1 or in the row at t reports a
+    divergence at t, one in k2 to k4 at t + dt; both carry the state at t.
 
     A ValueError from a stage (a non-finite torque, a singular input
     coupling) carries the rows recorded before it as ``trajectory``, as a
@@ -624,56 +620,82 @@ def integrate_to_csv(cfg: SimConfig, path, figures=()) -> Trajectory:
     return traj
 
 
-# The RK4 loop of ``_run``: the state in six floats, the stage template at
-# k1 and, under the suffixes _2 to _4, at k2 to k4.  ``_RATES`` pairs each
-# state variable with its rate; no stage reads theta.
+# The RK4 loop of ``_run``: the state in six floats; the scenario's sample
+# and the stage template at k1 and, under the suffixes _2 to _4, at k2 to k4;
+# and the recorded row.  ``_RATES`` pairs each state variable with its rate;
+# no stage reads theta.  ``at`` is the time a failure reports: t in k1 and
+# the row, which read the state at t, and t + dt in k2 to k4.
 _LOOP = """\
-def loop(p, n, g, reference, record, flush, traj, dt, steps, stride, hold_steps,
-         theta, o, omega, theta_a, omega_a, o_i):
+def loop(p, n, g, flush, traj, dt, steps, stride, hold_steps,
+         theta, o, omega, theta_a, omega_a, o_i, o0{params}):
 {constants}
     half, sixth, limit = dt / 2.0, dt / 6.0, DIVERGENCE_LIMIT
     held = None  # hold mode: the (tau_u, tilde) frozen at the last instant
     try:
         for i in range(steps + 1):
-            t = i * dt
-            ref = reference(t)
+            t = at = i * dt
 {k1}
             if i % stride == 0:
-                record(t, ref, (theta, o, omega, theta_a, omega_a, o_i), tau_u, tilde)
+{row}
                 if flush is not None and len(traj.t) % CSV_CHUNK == 0:
                     flush()
             if i == steps:
                 break
+            at = t + dt
 {k2_to_k4}
             if not ({bounded}):  # a NaN fails as well
-                traj.diverged_at = t + dt
-                raise DivergenceError(t + dt, (theta, o, omega, theta_a, omega_a, o_i), traj)
+                traj.diverged_at = at
+                raise DivergenceError(at, (theta, o, omega, theta_a, omega_a, o_i), traj)
 {advance}
     except OverflowError as exc:  # x**2 past about 1.3e154 raises where x*x gives inf
-        traj.diverged_at = t + dt
-        raise DivergenceError(t + dt, (theta, o, omega, theta_a, omega_a, o_i), traj) from exc
+        traj.diverged_at = at
+        raise DivergenceError(at, (theta, o, omega, theta_a, omega_a, o_i), traj) from exc
 """
 _RATES = (("theta", "omega"), ("o", "o_rate"), ("omega", "omega_dot"),
           ("theta_a", "omega_a"), ("omega_a", "omega_a_dot"), ("o_i", "o_i_rate"))
+# The recorded row at t: each ``Trajectory`` column with its value, from the
+# state, the sample, k1's trig and the torques in force.  The energy keeps
+# ``energy``'s expressions, operand order and ``**2``, its constant prefixes
+# read once per run, so ``energy`` is its oracle bit for bit; it is computed
+# before the first append, so an overflow leaves no part of a row.
+_ROW_CONSTANTS = """\
+half_rolling = 0.5 * (p.i_h + p.m_h * p.r**2)
+half_m_a, half_i_a = 0.5 * p.m_a, 0.5 * p.i_a
+sin_beta, r_cos_beta = sin(p.beta), p.r * cos(p.beta)
+weight, hang = p.m_total * p.g, p.m_a * p.g * p.l
+"""
+_ROW = """\
+v_x = neg_r * omega + l * omega_a * cos_a
+v_y = l * omega_a * sin_a
+ke = half_rolling * omega**2 + half_m_a * (v_x**2 + v_y**2) + half_i_a * omega_a_sq
+pe = weight * (o * sin_beta + r_cos_beta) - hang * cos(theta_a + beta)
+"""
+_ROW_VALUES = (("t", "t"), ("theta", "theta"), ("o", "o"), ("omega", "omega"),
+               ("theta_a", "theta_a"), ("omega_a", "omega_a"), ("o_I", "o_i"),
+               ("o_e", "o - o_ref"), ("omega_e", "omega + o_dot_ref / n_r"),
+               ("tau_u", "tau_u"), ("tilde_tau_u", "tilde"), ("energy", "ke + pe"))
 
 
-def _loop_source(open_loop: bool, feedforward: bool, hold: bool) -> str:
-    """``_run``'s loop for one combination of flags.  An open loop samples
-    the reference only at t; in hold mode k1 takes a fresh or the held
-    torque and k2 to k4 the held one.  k1 runs once more for a recorded last
-    row, unless a torque is held; the sums keep the tuple loop's order."""
-    sample = "" if open_loop else "o_ref, o_dot_ref, o_ddot_ref = "
+def _loop_source(scenario: str, open_loop: bool, feedforward: bool, hold: bool) -> str:
+    """``_run``'s loop for one scenario and combination of flags.  An open
+    loop samples the reference only for a recorded row; in hold mode k1
+    takes a fresh or the held torque and k2 to k4 the held one.  k1 runs
+    once more for a recorded last row, unless a torque is held, when only
+    its trig does; the sums keep the tuple loop's order."""
+    params, constants, _ = SAMPLES[scenario]
+    sample = (lambda at: "") if open_loop else functools.partial(sample_source, scenario)
     k1 = indent(_stage_source(open_loop, feedforward, "either" if hold else "fresh"), "    ")
     if hold:
         k1 = ("if i % hold_steps == 0:\n    held = None\n"
-              f"if i < steps or i % stride == 0 and held is None:\n{k1}    held = (tau_u, tilde)\n")
+              f"if i < steps or i % stride == 0 and held is None:\n{k1}    held = (tau_u, tilde)\n"
+              f"else:\n{indent(_TRIG, '    ')}")
     else:
         k1 = f"if i < steps or i % stride == 0:\n{k1}"
     stages = []
-    for k, at, step in ((2, "t + half", "half"), (3, None, "half"), (4, "t + dt", "dt")):
+    for k, at, step in ((2, "(t + half)", "half"), (3, None, "half"), (4, "(t + dt)", "dt")):
         last = f"_{k - 1}" if k > 2 else ""
         stages.append(
-            (f"{sample}reference({at})\n" if sample and at else "")
+            (sample(at) if at else "")
             + f"o_rate{last} = neg_r * omega{last}\n"
             + "".join(f"{x}_{k} = {x} + {step} * {rate}{last}\n" for x, rate in _RATES[1:])
             + _stage_source(open_loop, feedforward, "held" if hold else "fresh", f"_{k}")
@@ -681,9 +703,14 @@ def _loop_source(open_loop: bool, feedforward: bool, hold: bool) -> str:
     stages.append("o_rate_4 = neg_r * omega_4\n")
     stages += [f"{x}_n = {x} + sixth * ({r} + 2.0 * {r}_2 + 2.0 * {r}_3 + {r}_4)\n"
                for x, r in _RATES]
+    constants += _ROW_CONSTANTS + "".join(f"put_{c} = traj.{c}.append\n" for c, _ in _ROW_VALUES)
+    row = ((sample_source(scenario, "t") if open_loop else "") + _ROW
+           + "".join(f"put_{c}({value})\n" for c, value in _ROW_VALUES))
     return _LOOP.format(
-        constants=indent(_CONSTANTS, "    ").rstrip("\n"),
-        k1=indent((sample and sample + "ref\n") + k1, " " * 12).rstrip("\n"),
+        params="".join(f", {name}" for name in params),
+        constants=indent(_CONSTANTS + constants, "    ").rstrip("\n"),
+        k1=indent(sample("t") + k1, " " * 12).rstrip("\n"),
+        row=indent(row, " " * 16).rstrip("\n"),
         k2_to_k4=indent("".join(stages), " " * 12).rstrip("\n"),
         bounded=" and ".join(f"-limit <= {x}_n <= limit" for x, _ in _RATES),
         advance="\n".join(f"            {x} = {x}_n" for x, _ in _RATES),
@@ -691,64 +718,21 @@ def _loop_source(open_loop: bool, feedforward: bool, hold: bool) -> str:
 
 
 @functools.cache
-def _loop(open_loop: bool, feedforward: bool, hold: bool) -> Callable:
-    flags = f"open_loop={open_loop} feedforward={feedforward} hold={hold}"
-    return _define("loop", _loop_source(open_loop, feedforward, hold), flags)
+def _loop(scenario: str, open_loop: bool, feedforward: bool, hold: bool) -> Callable:
+    flags = f"scenario={scenario} open_loop={open_loop} feedforward={feedforward} hold={hold}"
+    return define("loop", _loop_source(scenario, open_loop, feedforward, hold), flags, globals())
 
 
 def _run(cfg: SimConfig, traj: Trajectory, flush: Optional[Callable[[], None]] = None) -> None:
     """The RK4 loop of ``integrate``, recording into ``traj``; ``flush()``,
     when given, runs after every ``CSV_CHUNK``-th recorded row."""
-    p, n = cfg.plant, cfg.nominal
     dt = cfg.dt
     # an open loop has no torque to hold
     hold = cfg.hold_dt is not None and not cfg.open_loop
     hold_steps = max(1, int(round(cfg.hold_dt / dt))) if hold else None
-
-    (put_t, put_theta, put_o, put_omega, put_theta_a, put_omega_a, put_o_i, put_o_e,
-     put_omega_e, put_tau_u, put_tilde, put_energy) = (column.append for column in (
-        traj.t, traj.theta, traj.o, traj.omega, traj.theta_a, traj.omega_a, traj.o_I,
-        traj.o_e, traj.omega_e, traj.tau_u, traj.tilde_tau_u, traj.energy))
-    # the left-to-right constant prefixes of energy()'s expressions
-    sin, cos = math.sin, math.cos
-    n_r, neg_r, l, beta = n.r, -p.r, p.l, p.beta
-    half_rolling = 0.5 * (p.i_h + p.m_h * p.r**2)
-    half_m_a = 0.5 * p.m_a
-    half_i_a = 0.5 * p.i_a
-    sin_beta = sin(p.beta)
-    r_cos_beta = p.r * cos(p.beta)
-    weight = p.m_total * p.g
-    hang = p.m_a * p.g * p.l
-
-    def record(
-        t: float, ref: ReferenceSample, y: tuple, tau_u: float, tilde_tau_u: float
-    ) -> None:
-        """Append one sample with the torques in force at (t, y)."""
-        theta, o, omega, theta_a, omega_a, o_i = y
-        v_x = neg_r * omega + l * omega_a * cos(theta_a)
-        v_y = l * omega_a * sin(theta_a)
-        ke = (
-            half_rolling * omega**2
-            + half_m_a * (v_x**2 + v_y**2)
-            + half_i_a * omega_a**2
-        )
-        pe = weight * (o * sin_beta + r_cos_beta) - hang * cos(theta_a + beta)
-        put_t(t)
-        put_theta(theta)
-        put_o(o)
-        put_omega(omega)
-        put_theta_a(theta_a)
-        put_omega_a(omega_a)
-        put_o_i(o_i)
-        put_o_e(o - ref.o_ref)
-        put_omega_e(omega + ref.o_dot_ref / n_r)
-        put_tau_u(tau_u)
-        put_tilde(tilde_tau_u)
-        put_energy(ke + pe)
-
     s = cfg.initial
-    _loop(cfg.open_loop, cfg.feedforward, hold)(
-        p, n, cfg.gains, cfg.reference(), record, flush, traj,
-        dt, int(round(cfg.t_end / dt)), cfg.stride, hold_steps,
-        s.theta, s.o, s.omega, s.theta_a, s.omega_a, 0.0,
+    _loop(cfg.scenario, cfg.open_loop, cfg.feedforward, hold)(
+        cfg.plant, cfg.nominal, cfg.gains, flush, traj, dt, int(round(cfg.t_end / dt)),
+        cfg.stride, hold_steps, s.theta, s.o, s.omega, s.theta_a, s.omega_a, 0.0,
+        **cfg._reference_params(),
     )

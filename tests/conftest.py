@@ -5,7 +5,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from hooprobot import sim
 from hooprobot.plant import PlantParams, derive_mass_constants
+from hooprobot.sim import Trajectory
 
 
 @pytest.fixture
@@ -37,3 +39,19 @@ def leaves_no_child_or_fd():
         assert len(os.listdir("/proc/self/fd")) == before
 
     return check
+
+
+@pytest.fixture
+def interrupt_at_row(monkeypatch):
+    """``interrupt_at_row(t)``: the trajectories ``sim`` builds from then on
+    raise KeyboardInterrupt when the loop records a row at time t or later,
+    before any column of that row."""
+    def install(t_stop):
+        class Times(list):
+            def append(self, t):
+                if t >= t_stop:
+                    raise KeyboardInterrupt
+                super().append(t)
+
+        monkeypatch.setattr(sim, "Trajectory", lambda: Trajectory(t=Times()))
+    return install

@@ -297,23 +297,11 @@ class TestSimulateCommand:
         assert manifest["controller"]["k_p"] == "1e+200"
 
     def test_interrupt_rewrites_the_manifest_of_an_earlier_run(
-        self, monkeypatch, tmp_path, leaves_no_child_or_fd,
+        self, tmp_path, leaves_no_child_or_fd, interrupt_at_row,
     ):
         out = tmp_path / "run"
         assert main(["simulate", "--t-end", "0.5", "--out", str(out)]) == 0
-        build = SimConfig.reference
-
-        def interrupted(self):
-            reference = build(self)
-
-            def sample_until_ctrl_c(t):
-                if t >= 0.3:  # the step from t = 0.299 is the last to start
-                    raise KeyboardInterrupt
-                return reference(t)
-
-            return sample_until_ctrl_c
-
-        monkeypatch.setattr(SimConfig, "reference", interrupted)
+        interrupt_at_row(0.3)  # Ctrl-C as the loop records the row at t = 0.3
         with leaves_no_child_or_fd():
             with pytest.raises(KeyboardInterrupt):
                 main(["simulate", "--t-end", "600", "--out", str(out)])

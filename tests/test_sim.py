@@ -1,5 +1,7 @@
 """Integrator behavior: configs, determinism, energy accounting, the oracle."""
 import csv
+import itertools
+import linecache
 import math
 import os
 import random
@@ -21,7 +23,7 @@ from hooprobot.plant import (
     coupling_gain,
     derivative,
 )
-from hooprobot.reference import SCENARIOS, make_reference
+from hooprobot.reference import SCENARIOS, ReferenceSample, make_reference, sample_source
 from hooprobot.regularizer import nominal_from_true
 from hooprobot.sim import (
     CSV_CHUNK,
@@ -41,6 +43,11 @@ FLAT = PlantParams(m_h=1.0, i_h=0.021, r=0.18, m_a=3.28, i_a=0.035, l=0.14, beta
 GAINS = Gains(k_p=16.0, k_d=7.0, k_i=4.0, k_c=0.1)
 # the PID torque of the stage template, in every instance whatever its suffix
 PID_EXPRESSION = "-n_inertia * (k_p * eta_e + k_d * omega_e + k_i * o_i"
+
+
+def flat(source):
+    """``source`` with each line stripped, so text compares across indents."""
+    return "".join(line.strip() + "\n" for line in source.splitlines())
 
 
 def make_config(plant=TRUE, mismatch=1.5, **overrides):
@@ -246,23 +253,25 @@ class TestIntegrate:
         assert err.trajectory.diverged_at == err.time
         assert len(err.trajectory) == 1  # only the initial sample was recorded
 
-    @pytest.mark.parametrize("k_p, overrides, rows", [
-        (1e200, {}, 1),
-        (16.0, dict(initial=HoopState(0.0, 1e300, -0.1, 0.0, 0.1)), 1),
-        (16.0, dict(scenario="ramp", ramp_v=1e300), 1),
-        (1e300, dict(hold_dt=0.01), 1),
-        # the energy of the row at t = 0 overflows
-        (16.0, dict(initial=HoopState(0.0, -2.0, 1e200, 0.0, 0.1), open_loop=True), 0),
+    @pytest.mark.parametrize("k_p, overrides, rows, time", [
+        (1e200, {}, 1, 1e-3),
+        (16.0, dict(initial=HoopState(0.0, 1e300, -0.1, 0.0, 0.1)), 1, 1e-3),
+        (16.0, dict(scenario="ramp", ramp_v=1e300), 1, 1e-3),
+        (1e300, dict(hold_dt=0.01), 1, 1e-3),
+        # the energy of the row at t = 0 overflows, before any step
+        (16.0, dict(initial=HoopState(0.0, -2.0, 1e200, 0.0, 0.1), open_loop=True), 0, 0.0),
     ], ids=["kp", "o0", "ramp_v", "hold", "open_loop"])
-    def test_overflow_diverges_with_the_rows_recorded_before_it(self, k_p, overrides, rows):
+    def test_overflow_diverges_with_the_rows_recorded_before_it(self, k_p, overrides, rows,
+                                                                 time):
         # x**2 of a double past about 1.3e154 raises OverflowError, where
-        # x*x would give inf
+        # x*x would give inf; in k1 or the row at t it reports t, in k2 to
+        # k4 t + dt, with the state at t either way
         cfg = replace(make_config(t_end=1.0, **overrides), gains=Gains(k_p, 7.0, 4.0, 0.1))
         with pytest.raises(DivergenceError, match="diverged at") as excinfo:
             integrate(cfg)
         err = excinfo.value
         assert isinstance(err.__cause__, OverflowError)
-        assert err.time == pytest.approx(1e-3)
+        assert err.time == pytest.approx(time)
         assert err.trajectory.diverged_at == err.time
         assert len(err.trajectory) == rows
         s = cfg.initial
@@ -292,8 +301,8 @@ class TestControllerEvaluations:
     ])
     def test_each_torque_is_computed_once(self, hold_dt, expected):
         hold = hold_dt is not None
-        copies = sim._loop_source(False, False, hold).count(PID_EXPRESSION)
-        assert sim._loop_source(True, False, False).count(PID_EXPRESSION) == 0
+        copies = sim._loop_source("fixed_point", False, False, hold).count(PID_EXPRESSION)
+        assert sim._loop_source("fixed_point", True, False, False).count(PID_EXPRESSION) == 0
         # every copy runs at each of the 1000 steps, or k1's alone at each of
         # the 100 hold instants before the last; k1's once more for the last row
         assert copies * (100 if hold else 1000) + 1 == expected
@@ -307,47 +316,20 @@ class TestControllerEvaluations:
             assert bits((traj.tau_u[i], traj.tilde_tau_u[i])) == bits((tau_u, tilde))
 
     @pytest.mark.parametrize("hold_dt", [None, 0.01])
-    def test_reference_is_sampled_once_per_distinct_stage_time(self, monkeypatch, hold_dt):
-        cfg = make_config(scenario="sinusoid", feedforward=True, t_end=1.0, stride=1,
-                          hold_dt=hold_dt)
-        times = []
-        build = SimConfig.reference
+    def test_reference_is_sampled_once_per_distinct_stage_time(self, hold_dt):
+        # k1 and the row at t, k2 and k3 at t + dt/2, k4 at t + dt: each
+        # step runs the sample text once per time, in that order
+        loop = flat(sim._loop_source("sinusoid", False, True, hold_dt is not None))
+        at = [flat(sample_source("sinusoid", t)) for t in ("t", "(t + half)", "(t + dt)")]
+        assert [loop.count(text) for text in at] == [1, 1, 1]
+        assert loop.index(at[0]) < loop.index(at[1]) < loop.index(at[2])
 
-        def counting_reference(self):
-            reference = build(self)
-
-            def counted(t):
-                times.append(t)
-                return reference(t)
-
-            return counted
-
-        monkeypatch.setattr(SimConfig, "reference", counting_reference)
-        integrate(cfg)
-        assert len(times) == 3 * 1000 + 1
-        # k1 and the row at t, k2 and k3 at t + dt/2, k4 at t + dt; then the last row
-        dt = cfg.dt
-        expected = [v for i in range(1000) for v in (i * dt, i * dt + dt / 2.0, i * dt + dt)]
-        assert times == expected + [1000 * dt]
-
-    def test_open_loop_samples_the_reference_only_at_step_times(self, monkeypatch):
+    def test_open_loop_samples_the_reference_only_at_step_times(self):
         # the open-loop stage ignores its sample, so only the recorded rows take one
-        cfg = make_config(scenario="sinusoid", open_loop=True, t_end=1.0)
-        times = []
-        build = SimConfig.reference
-
-        def counting_reference(self):
-            reference = build(self)
-
-            def counted(t):
-                times.append(t)
-                return reference(t)
-
-            return counted
-
-        monkeypatch.setattr(SimConfig, "reference", counting_reference)
-        integrate(cfg)
-        assert times == [i * cfg.dt for i in range(1001)]
+        loop = flat(sim._loop_source("sinusoid", True, False, False))
+        at = [flat(sample_source("sinusoid", t)) for t in ("t", "(t + half)", "(t + dt)")]
+        assert [loop.count(text) for text in at] == [1, 0, 0]
+        assert loop.index("if i % stride == 0:") < loop.index(at[0])
 
     def test_recorded_energy_does_not_call_energy(self, monkeypatch):
         def refuse(*args):
@@ -642,6 +624,32 @@ class TestCompiledLoop:
         assert frame.filename.startswith("<hooprobot.sim loop ")
         assert frame.line == 'raise ValueError(f"control torque must be finite, got {tau_u!r}")'
 
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_the_loop_inlines_the_text_make_reference_compiles(self, scenario):
+        cfg = make_config(scenario=scenario, o_ref0=-0.7, ramp_v=0.3, sin_amplitude=0.4,
+                          sin_rate=1.3)
+        sample = cfg.reference()
+        text = flat(sample_source(scenario, "t"))
+        compiled = flat("".join(linecache.getlines(f"<hooprobot.reference factory {scenario}>")))
+        assert text in compiled
+        for flags in itertools.product((False, True), repeat=3):
+            assert text in flat(sim._loop_source(scenario, *flags))
+        o0, v, amplitude, rate = -0.7, 0.3, 0.4, 1.3
+        plain = {
+            "fixed_point": lambda t: ReferenceSample(o0, 0.0, 0.0),
+            "ramp": lambda t: ReferenceSample(o0 + v * t, v, 0.0),
+            "sinusoid": lambda t: ReferenceSample(
+                o0 + amplitude * (1.0 - math.cos(rate * t)) / rate,
+                amplitude * math.sin(rate * t),
+                amplitude * rate * math.cos(rate * t),
+            ),
+        }[scenario]
+        dt = cfg.dt
+        for i in range(0, 60000, 7):  # k1, k2 and k3, k4 of every 7th step of 60 s
+            for t in (i * dt, i * dt + dt / 2.0, i * dt + dt):
+                assert type(sample(t)) is ReferenceSample
+                assert bits(sample(t)) == bits(plain(t))
+
 
 class TestTrajectoryCsv:
     def test_header_and_shape(self, tmp_path):
@@ -824,23 +832,10 @@ class TestIntegrateToCsv:
         assert_same_files(tmp_path / "streamed", tmp_path / "written")
 
     def test_interrupt_writes_the_rows_recorded_before_it(
-        self, monkeypatch, tmp_path, leaves_no_child_or_fd,
+        self, monkeypatch, tmp_path, leaves_no_child_or_fd, interrupt_at_row,
     ):
         cfg = make_config(scenario="sinusoid", t_end=1.0, stride=1)
-        build = SimConfig.reference
-
-        def interrupted(self):
-            reference, calls = build(self), [0]
-
-            def sample_until_ctrl_c(t):
-                calls[0] += 1
-                if calls[0] > 3 * 300:  # the first sample of step 300, before its row
-                    raise KeyboardInterrupt
-                return reference(t)
-
-            return sample_until_ctrl_c
-
-        monkeypatch.setattr(SimConfig, "reference", interrupted)
+        interrupt_at_row(300 * cfg.dt)  # the row of step 300
         with leaves_no_child_or_fd():
             with pytest.raises(KeyboardInterrupt):
                 streamed(cfg, tmp_path / "streamed")
