@@ -5,13 +5,13 @@ inequalities (an upper bound on the integral gain, a lower bound on the
 proportional gain) plus a pair of 3x3 matrices: P_s bounding the Lyapunov
 function from below and Q_s bounding its decay rate.  This module evaluates
 all of them numerically for a concrete parameter set so a gain choice can be
-audited before running anything.  There is one batch audit,
-``certify_chunk``: ``check_gains`` wraps its row of one triple into a
-``CertificateReport``, and ``hooprobot check-gains --sweep`` and ``sweep``
-turn the rows of each chunk straight into their tables.  All take the
-believed plant as one ``DerivedConstants``.  ``lyapunov_matrices`` computes
-the eigenvalues one matrix at a time and is the per-matrix reference for
-that path.
+audited before running anything.  One assembly builds the audit rows and
+the stacked P_s/Q_s eigenvalues, with two batch entries: ``certify_chunk``
+audits given triples (``check_gains`` wraps its row of one triple into a
+``CertificateReport``, ``check-gains --sweep`` tabulates its chunks), and
+``certify_sample`` samples and audits ``sweep``'s triples in one pass.  All
+take the believed plant as one ``DerivedConstants``.  ``lyapunov_matrices``
+is the per-matrix reference for the stacked eigenvalues.
 
 Caveat recorded here because it is easy to trip over: the positive
 definiteness of P_s under the stated gain conditions is an asymptotic claim.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .controller import Gains
 from .regularizer import NominalParams
@@ -121,18 +121,29 @@ def admissible_gain_sample(
 
     # One draw of the whole (count, 3) block consumes the generator in the
     # same order as per-triple scalar uniform(k_d), uniform(fraction),
-    # uniform(margin) calls, and low + (high - low) * u is the arithmetic
-    # Generator.uniform applies, so the triples are bit-identical to that loop.
-    # Each span below is high - low exactly (10 - 1, 0.9 - 0.05, 3 - 1.05).
+    # uniform(margin) calls.
+    u_rows = np.random.default_rng(seed).random((count, 3)).tolist()
+    return [Gains(k_p=k_p, k_d=k_d, k_i=k_i)
+            for k_p, k_d, k_i, *_ in _admissible_audits(u_rows, constants, kappa, r_const)]
+
+
+def _admissible_audits(u_rows: Iterable[Sequence[float]], constants: DerivedConstants,
+                       kappa: float, r_const: float) -> Iterator[tuple[float, ...]]:
+    """Per row (u_d, u_f, u_m) of uniforms the sampled triple and its audit
+    inputs (k_p, k_d, k_i, k_i_upper, k_1, k_2, k_p_floor).  low + (high - low)
+    * u is the arithmetic Generator.uniform applies, with each span high - low
+    exactly, so the triples are bit-identical to per-triple uniform draws; k_p
+    is checked as ``Gains`` checks it."""
     delta, mu = constants.delta, constants.mu
-    triples: list[Gains] = []
-    for u_d, u_f, u_m in np.random.default_rng(seed).random((count, 3)).tolist():
+    for u_d, u_f, u_m in u_rows:
         k_d = 1.0 + 9.0 * u_d
-        k_i = (0.05 + 0.85 * u_f) * _k_i_upper(k_d, delta, mu)
-        _, _, floor = gain_thresholds(k_d, k_i, kappa, r_const)
+        k_i_upper = _k_i_upper(k_d, delta, mu)
+        k_i = (0.05 + 0.85 * u_f) * k_i_upper
+        k_1, k_2, floor = gain_thresholds(k_d, k_i, kappa, r_const)
         k_p = (1.05 + 1.95 * u_m) * floor
-        triples.append(Gains(k_p=k_p, k_d=k_d, k_i=k_i))
-    return triples
+        if not (math.isfinite(k_p) and k_p > 0.0):
+            raise ValueError(f"k_p must be finite and positive, got {k_p!r}")
+        yield k_p, k_d, k_i, k_i_upper, k_1, k_2, floor
 
 
 @dataclass(frozen=True)
@@ -324,6 +335,24 @@ def certify_chunk(
     call per matrix, bit for bit ``lyapunov_matrices``' one call per matrix.
     Takes any number of triples, none too; a row does not depend on the others.
     """
+    delta, mu = constants.delta, constants.mu
+    return _certify_audits(((g.k_p, g.k_d, g.k_i, _k_i_upper(g.k_d, delta, mu),
+                             *gain_thresholds(g.k_d, g.k_i, kappa, r_const)) for g in triples),
+                           constants, kappa, r_const)
+
+
+def certify_sample(u_rows: Sequence[Sequence[float]], constants: DerivedConstants,
+                   kappa: float, r_const: float) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+    """``certify_chunk`` of the triples that ``admissible_gain_sample`` makes
+    from these rows of uniforms, in one pass: no ``Gains``, thresholds once."""
+    return _certify_audits(_admissible_audits(u_rows, constants, kappa, r_const),
+                           constants, kappa, r_const)
+
+
+def _certify_audits(audits: Iterable[tuple[float, ...]], constants: DerivedConstants,
+                    kappa: float, r_const: float) -> tuple[list[tuple], np.ndarray, np.ndarray]:
+    """Both batch audits from per-triple (k_p, k_d, k_i, k_i_upper, k_1, k_2,
+    k_p_floor), consumed only after r_const is checked."""
     import numpy as np
 
     check_r_const(r_const)
@@ -331,10 +360,7 @@ def certify_chunk(
     lo, hi = constants.kappa_range
     kappa_ok = lo < kappa < hi
     rows, p_flat, q_flat = [], [], []
-    for g in triples:
-        k_p, k_d, k_i = g.k_p, g.k_d, g.k_i
-        k_i_upper = _k_i_upper(k_d, delta, mu)
-        k_1, k_2, k_p_floor = gain_thresholds(k_d, k_i, kappa, r_const)
+    for k_p, k_d, k_i, k_i_upper, k_1, k_2, k_p_floor in audits:
         k_i_ok = 0.0 < k_i < k_i_upper
         k_p_ok = k_p > k_p_floor
         rows.append((

@@ -345,11 +345,9 @@ def _evaluating_certificate():
         raise ConfigError(f"certificate undefined at these flags: {exc}") from exc
 
 
-def _table_columns(triples: list[Gains], constants: certificate.DerivedConstants,
-                   kappa: float, r_const: float) -> tuple:
+def _table_columns(rows: list[tuple], p_eigs, q_eigs) -> tuple:
     """k_p, k_d, k_i, k_i_margin, k_p_margin, lambda_min(P_s), lambda_min(Q_s)
-    and passed of one or more triples: the columns of both gain tables."""
-    rows, p_eigs, q_eigs = certificate.certify_chunk(triples, constants, kappa, r_const)
+    and passed of a batch audit: the columns of both gain tables."""
     # a row holds the CertificateReport fields k_p .. passed
     k_p, k_d, k_i, *_, k_i_margin, k_p_margin, _, _, _, passed = zip(*rows)
     lambda_p, lambda_q = p_eigs[:, 0].tolist(), q_eigs[:, 0].tolist()
@@ -399,7 +397,7 @@ def cmd_check_gains(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) ->
             candidates = [replace(gains, **{field: v}) for v in values]
             with _evaluating_certificate():
                 *_, k_i_margin, k_p_margin, lambda_p, _, passed = _table_columns(
-                    candidates, constants, kappa, args.r_const)
+                    *certificate.certify_chunk(candidates, constants, kappa, args.r_const))
             sys.stdout.write(header + "".join(map(
                 "{:g}\t{:.6g}\t{:.6g}\t{:.6g}\t{}\n".format,
                 values, k_i_margin, k_p_margin, lambda_p, passed)))
@@ -429,13 +427,12 @@ def cmd_equilibrium(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) ->
     return 0
 
 
-def _sweep_chunk(
-    chunk: list[Gains], constants: certificate.DerivedConstants, kappa: float,
-    r_const: float,
-) -> tuple[str, int, float]:
-    """The CSV lines of one chunk of ``sweep``, its certified count and its
-    least lambda_min(P_s); ``--jobs N`` workers send back this text, not reports."""
-    *floats, passed = _table_columns(chunk, constants, kappa, r_const)
+def _sweep_chunk(u_rows: list[list[float]], constants: certificate.DerivedConstants,
+                 kappa: float, r_const: float) -> tuple[str, int, float]:
+    """The CSV lines of the triples these rows of uniforms give, their certified
+    count and least lambda_min(P_s); ``--jobs N`` workers send back this text."""
+    audit = certificate.certify_sample(u_rows, constants, kappa, r_const)
+    *floats, passed = _table_columns(*audit)
     lambda_p = floats[5]
     certified = [ok and lam > 0.0 for ok, lam in zip(passed, lambda_p)]
     text = "".join(map(
@@ -451,17 +448,13 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> int:
             f"--count and --jobs must be >= 1, got {args.count} and {args.jobs}"
         )
     _, constants, kappa = _certificate_inputs(cfg, args)
-    with _evaluating_certificate():
-        triples = certificate.admissible_gain_sample(
-            args.count, args.seed, constants, kappa, r_const=args.r_const,
-        )
-    sweep_chunk = partial(_sweep_chunk, constants=constants, kappa=kappa, r_const=args.r_const)
-    chunks = [
-        triples[start:start + certificate.CHUNK]
-        for start in range(0, len(triples), certificate.CHUNK)
-    ]
+    import numpy as np  # imported here: simulate starts without numpy
     from multiprocessing import Pool  # imported here: no other command needs it
 
+    with _evaluating_certificate():  # a negative seed is a ValueError
+        u_rows = np.random.default_rng(args.seed).random((args.count, 3)).tolist()
+    sweep_chunk = partial(_sweep_chunk, constants=constants, kappa=kappa, r_const=args.r_const)
+    chunks = (u_rows[i:i + certificate.CHUNK] for i in range(0, args.count, certificate.CHUNK))
     # Every chunk is certified before --out is opened, so a failed sweep
     # leaves no file.
     with _evaluating_certificate(), Pool(args.jobs) if args.jobs > 1 else nullcontext() as pool:
@@ -474,7 +467,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> int:
         fh.write("k_p,k_d,k_i,k_i_margin,k_p_margin,lambda_min_P,lambda_min_Q,certified\r\n")
         fh.writelines(texts)
     print(
-        f"swept {len(triples)} admissible gain triples (seed {args.seed}): "
+        f"swept {args.count} admissible gain triples (seed {args.seed}): "
         f"{sum(counts)} certified, min lambda_min(P_s) = {min(minima):.6g}"
     )
     print(f"wrote {out_path}")

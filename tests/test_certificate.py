@@ -13,6 +13,7 @@ from hooprobot.certificate import (
     CertificateReport,
     admissible_gain_sample,
     certify_chunk,
+    certify_sample,
     check_gains,
     derived_constants,
     gain_thresholds,
@@ -342,6 +343,35 @@ class TestCertifyGains:
         kappa = kappa_mid(c)
         with pytest.raises(ValueError, match="r_const"):
             certify_chunk([GAINS], c, kappa, 0.0)
+
+
+class TestCertifySample:
+    @pytest.mark.parametrize("r_const", [1.0, 0.3, 4.0])
+    @pytest.mark.parametrize("count", [0, 1, CHUNK, CHUNK + 1])
+    def test_equals_certify_chunk_of_the_sample(self, count, r_const):
+        # the one pass gives the audit of the sampled Gains, field for field
+        # and eigenvalue for eigenvalue
+        c = derived_constants(BELIEVED, 5.0)
+        kappa = kappa_mid(c)
+        seed = 2026 + count
+        u_rows = np.random.default_rng(seed).random((count, 3)).tolist()
+        got_rows, got_p, got_q = certify_sample(u_rows, c, kappa, r_const)
+        want_rows, want_p, want_q = certify_chunk(
+            admissible_gain_sample(count, seed, c, kappa, r_const), c, kappa, r_const)
+        assert len(got_rows) == count and got_p.shape == got_q.shape == (count, 3)
+        assert [hexed(row) for row in got_rows] == [hexed(row) for row in want_rows]
+        assert [hexed(tuple(row)) for row in got_p.tolist()] == \
+            [hexed(tuple(row)) for row in want_p.tolist()]
+        assert [hexed(tuple(row)) for row in got_q.tolist()] == \
+            [hexed(tuple(row)) for row in want_q.tolist()]
+
+    def test_validates_like_certify_chunk(self):
+        c = derived_constants(BELIEVED, 6.0)
+        with pytest.raises(ValueError, match="r_const"):
+            certify_sample([[0.5, 0.5, 0.5]], c, kappa_mid(c), 0.0)
+        # a floor that overflows gives the error Gains gives for k_p
+        with pytest.raises(ValueError, match="^k_p must be finite and positive, got inf$"):
+            certify_sample([[0.5, 0.5, 0.5]], c, 1e154, 1.0)
 
 
 class TestReport:

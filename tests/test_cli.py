@@ -770,6 +770,48 @@ class TestSweepCommand:
                 f"min lambda_min(P_s) = {min(row[5] for row in rows):.6g}"
             )
 
+    def test_evaluates_the_thresholds_once_per_triple(self, monkeypatch, tmp_path):
+        # the sampler's thresholds are the audit's: one call per sampled triple
+        calls, thresholds = [], certificate.gain_thresholds
+
+        def counted(*args):
+            calls.append(args)
+            return thresholds(*args)
+
+        monkeypatch.setattr(certificate, "gain_thresholds", counted)
+        assert main(["sweep", "--count", "513", "--seed", "3", "--jobs", "1",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert len(calls) == 513
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_builds_no_gains(self, jobs, monkeypatch, tmp_path, capsys):
+        # the sampled triples go to the audit as plain floats, in every process
+        expected = tmp_path / "expected.csv"
+        argv = ["sweep", "--count", str(certificate.CHUNK + 1), "--seed", "3", "--jobs", jobs]
+        assert main([*argv, "--out", str(expected)]) == 0
+        want = capsys.readouterr().out.replace(str(expected), "OUT")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sweep built a Gains")
+
+        monkeypatch.setattr(certificate, "Gains", forbidden)
+        out = tmp_path / "sweep.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.replace(str(out), "OUT") == want
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_overflowing_floor_names_k_p(self, jobs, tmp_path, capsys):
+        # the sampler keeps the check Gains made on k_p
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--count", "5", "--kappa", "1e154", "--jobs", jobs,
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: certificate undefined at these flags: "
+                                "k_p must be finite and positive, got inf\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_builds_no_reports_and_no_csv_writer(self, jobs, monkeypatch, tmp_path):
         # sweep turns each chunk's rows straight into text, in every process
