@@ -27,7 +27,7 @@ from . import __version__, certificate
 from .controller import Gains
 from .plant import HoopState, PlantParams, actuator_equilibrium
 from .reference import SCENARIOS
-from .regularizer import nominal_from_true
+from .regularizer import NominalParams, nominal_from_true
 from .sim import DivergenceError, SimConfig, Trajectory, WriterError, integrate_to_csv
 
 
@@ -206,11 +206,19 @@ def build_gains(cfg: dict[str, dict[str, str]]) -> Gains:
         raise ConfigError(f"invalid gains: {exc}") from exc
 
 
+def build_nominal(cfg: dict[str, dict[str, str]], plant: PlantParams) -> NominalParams:
+    """The controller's belief: ``plant`` scaled by the configured mismatch."""
+    try:
+        return nominal_from_true(plant, float(cfg["controller"]["mismatch"]))
+    except ValueError as exc:
+        raise ConfigError(f"invalid mismatch: {exc}") from exc
+
+
 def build_sim_config(cfg: dict[str, dict[str, str]]) -> SimConfig:
     plant = build_plant(cfg)
     gains = build_gains(cfg)
+    nominal = build_nominal(cfg, plant)
     try:
-        nominal = nominal_from_true(plant, float(cfg["controller"]["mismatch"]))
         sim = _values(cfg, "simulation")
         del sim["seed"]  # kept so old manifests load; the simulation draws no random numbers
         initial = HoopState(**{
@@ -318,6 +326,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> in
 def _certificate_inputs(cfg: dict[str, dict[str, str]], args: argparse.Namespace):
     plant = build_plant(cfg)
     gains = build_gains(cfg)
+    build_nominal(cfg, plant)  # validated only: the certificate believes --cert-mismatch
     factor = args.cert_mismatch if args.cert_mismatch is not None else 1.0
     try:
         believed = nominal_from_true(plant, factor)

@@ -212,7 +212,7 @@ def actuator_equilibrium(p: PlantParams, grid: int = 4096) -> EquilibriumResult:
     """Locate the attracting rest angle of the actuator under zero-error control.
 
     Scans the torque-balance residual over [-pi, pi), brackets its sign
-    changes and solves each by bisection, then keeps the roots where the
+    changes and solves each by Brent's method, then keeps the roots where the
     residual slope is negative (restoring).  Among those the one closest to
     hanging (theta_a = 0) is returned.  Existence requires
     sin(beta) <= m_a l / (M r); the bound is reported as ``beta_max``.

@@ -1,6 +1,6 @@
 """Reference trajectories for the hoop center: hold a point, ramp, or sinusoid.
 
-Each generator returns a callable of time producing the reference position
+Each reference is a callable of time producing the reference position
 together with its first two derivatives, which the controller needs to form
 velocity errors (and optionally acceleration feedforward).  Each scenario's
 arithmetic is written once, as source text over a time expression
@@ -31,22 +31,24 @@ Reference = Callable[[float], ReferenceSample]
 # the named tuple; simulate's writer samples once per row.
 _sample = tuple.__new__
 
-# Per scenario: the parameters it takes after o0, the constants read from
-# them once, and the lines that set o_ref, o_dot_ref and o_ddot_ref at the
-# time expression {t}, with math's cos and sin.  The sinusoid's velocity is
-# amplitude * sin(rate * t) from rest, so its position drifts forward.
+# Per scenario: the parameters it takes, named after the SimConfig fields
+# that hold them, the constants read from them once, and the lines that set
+# o_ref, o_dot_ref and o_ddot_ref at the time expression {t}, with math's cos
+# and sin.  The sinusoid's velocity is sin_amplitude * sin(sin_rate * t) from
+# rest, so its position drifts forward.
 SAMPLES = {
-    "fixed_point": ((), "", "o_ref, o_dot_ref, o_ddot_ref = o0, 0.0, 0.0\n"),
-    "ramp": (("v",), "", "o_ref, o_dot_ref, o_ddot_ref = o0 + v * {t}, v, 0.0\n"),
+    "fixed_point": (("o_ref0",), "", "o_ref, o_dot_ref, o_ddot_ref = o_ref0, 0.0, 0.0\n"),
+    "ramp": (("o_ref0", "ramp_v"), "",
+             "o_ref, o_dot_ref, o_ddot_ref = o_ref0 + ramp_v * {t}, ramp_v, 0.0\n"),
     "sinusoid": (
-        ("amplitude", "rate"),
-        "if not rate > 0.0:\n"
-        '    raise ValueError(f"sinusoid rate must be positive, got {rate!r}")\n'
-        "amplitude_rate = amplitude * rate\n",
-        "phase = rate * {t}\n"
+        ("o_ref0", "sin_amplitude", "sin_rate"),
+        "if not sin_rate > 0.0:\n"
+        '    raise ValueError(f"sinusoid rate must be positive, got {sin_rate!r}")\n'
+        "amplitude_rate = sin_amplitude * sin_rate\n",
+        "phase = sin_rate * {t}\n"
         "cos_phase = cos(phase)\n"
-        "o_ref = o0 + amplitude * (1.0 - cos_phase) / rate\n"
-        "o_dot_ref = amplitude * sin(phase)\n"
+        "o_ref = o_ref0 + sin_amplitude * (1.0 - cos_phase) / sin_rate\n"
+        "o_dot_ref = sin_amplitude * sin(phase)\n"
         "o_ddot_ref = amplitude_rate * cos_phase\n",
     ),
 }
@@ -71,7 +73,7 @@ def define(name: str, source: str, flags: str, namespace: dict) -> Callable:
 def _factory(scenario: str) -> Callable:
     params, constants, _ = SAMPLES[scenario]
     source = (
-        f"def factory(o0{''.join(', ' + name for name in params)}):\n"
+        f"def factory({', '.join(params)}):\n"
         + indent("cos, sin = math.cos, math.sin\n" + constants, "    ")
         + "    def sample(t):\n" + indent(sample_source(scenario, "t"), " " * 8)
         + "        return _sample(ReferenceSample, (o_ref, o_dot_ref, o_ddot_ref))\n"
@@ -80,31 +82,18 @@ def _factory(scenario: str) -> Callable:
     return define("factory", source, scenario, globals())
 
 
-def make_reference(scenario: str, o0: float, **params: float) -> Reference:
+def make_reference(scenario: str, **params: float) -> Reference:
     """Build the reference for a scenario id ("fixed_point", "ramp", "sinusoid").
 
-    ``params`` carries ``v`` for the ramp and ``amplitude``/``rate`` for the
-    sinusoid; a keyword the scenario does not take raises TypeError.
+    ``params`` are the scenario's parameters, ``SAMPLES[scenario][0]``:
+    ``o_ref0``, plus ``ramp_v`` for the ramp and ``sin_amplitude``/``sin_rate``
+    for the sinusoid; a missing keyword or one the scenario does not take
+    raises TypeError.
     """
     if scenario not in SAMPLES:
         raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
-    sample = _factory(scenario)(o0, **params)
+    sample = _factory(scenario)(**params)
     if "{t}" not in SAMPLES[scenario][2]:  # immutable, so one instance serves every t
         fixed = sample(0.0)
         return lambda t: fixed
     return sample
-
-
-def constant(o0: float) -> Reference:
-    """Hold the hoop center at ``o0``."""
-    return make_reference("fixed_point", o0)
-
-
-def ramp(o0: float, v: float) -> Reference:
-    """Constant-velocity reference starting from ``o0``."""
-    return make_reference("ramp", o0, v=v)
-
-
-def sinusoid(o0: float, amplitude: float, rate: float) -> Reference:
-    """Sinusoidal velocity reference: o_dot_ref = amplitude * sin(rate * t)."""
-    return make_reference("sinusoid", o0, amplitude=amplitude, rate=rate)

@@ -10,7 +10,14 @@ is the covariant error equation
 
 where the residual lumps gravity on the (unknown) incline, disturbances and
 parameter mismatch, and is constant at a steady configuration.  The outer
-PID loop then only has to fight a constant.
+PID loop then only has to fight a constant.  With belief = truth and no
+disturbance the residual is the incline's alone, spin-channel gravity plus
+the shaping torque:
+
+    sin(beta) * (r m_t g - h cos^2(theta_a)) + (h/2) * sin(2 theta_a) * (1 - cos(beta)),
+    h = m_a^2 r l^2 g / (i_a + m_a l^2),
+
+which vanishes on flat ground for every theta_a.
 
 Everything here uses the controller's nominal parameter set, which may be
 badly wrong; the mismatch lands in the residual by design.

@@ -94,14 +94,6 @@ class WriterError(RuntimeError):
         self.status = status
 
 
-# The make_reference keywords of each scenario, as (keyword, SimConfig field).
-_SCENARIO_PARAMS = {
-    "fixed_point": (("o0", "o_ref0"),),
-    "ramp": (("o0", "o_ref0"), ("v", "ramp_v")),
-    "sinusoid": (("o0", "o_ref0"), ("amplitude", "sin_amplitude"), ("rate", "sin_rate")),
-}
-
-
 @dataclass
 class SimConfig:
     """One reproducible closed-loop run: who simulates what, how, for how long."""
@@ -152,7 +144,7 @@ class SimConfig:
 
     def _reference_params(self) -> dict:
         """The keywords of ``make_reference`` after the scenario."""
-        return {key: getattr(self, name) for key, name in _SCENARIO_PARAMS[self.scenario]}
+        return {name: getattr(self, name) for name in SAMPLES[self.scenario][0]}
 
     def reference(self) -> Reference:
         return make_reference(self.scenario, **self._reference_params())
@@ -174,7 +166,6 @@ class Trajectory:
     tau_u: list[float] = dc_field(default_factory=list)
     tilde_tau_u: list[float] = dc_field(default_factory=list)
     energy: list[float] = dc_field(default_factory=list)
-    diverged_at: Optional[float] = None
 
     def __len__(self) -> int:
         return len(self.t)
@@ -553,9 +544,9 @@ def integrate(cfg: SimConfig) -> Trajectory:
     Raises DivergenceError (with the partial trajectory attached) if any
     state component leaves [-1e6, 1e6] or becomes non-finite, or a value
     within a step overflows when squared.  In hold mode the control torque
-    is recomputed every ``hold_dt`` and frozen in between, while the
-    integrator state keeps its continuous dynamics; by default the torque
-    follows the stage states exactly.
+    is recomputed every ``max(1, round(hold_dt / dt))`` steps and frozen in
+    between, while the integrator state keeps its continuous dynamics; by
+    default the torque follows the stage states exactly.
 
     Each RK4 step runs the scenario's sample text once per distinct time:
     at t for k1 and the recorded row, at t + dt/2 for k2 and k3, at t + dt
@@ -627,7 +618,7 @@ def integrate_to_csv(cfg: SimConfig, path, figures=()) -> Trajectory:
 # the row, which read the state at t, and t + dt in k2 to k4.
 _LOOP = """\
 def loop(p, n, g, flush, traj, dt, steps, stride, hold_steps,
-         theta, o, omega, theta_a, omega_a, o_i, o0{params}):
+         theta, o, omega, theta_a, omega_a, o_i{params}):
 {constants}
     half, sixth, limit = dt / 2.0, dt / 6.0, DIVERGENCE_LIMIT
     held = None  # hold mode: the (tau_u, tilde) frozen at the last instant
@@ -644,11 +635,9 @@ def loop(p, n, g, flush, traj, dt, steps, stride, hold_steps,
             at = t + dt
 {k2_to_k4}
             if not ({bounded}):  # a NaN fails as well
-                traj.diverged_at = at
                 raise DivergenceError(at, (theta, o, omega, theta_a, omega_a, o_i), traj)
 {advance}
     except OverflowError as exc:  # x**2 past about 1.3e154 raises where x*x gives inf
-        traj.diverged_at = at
         raise DivergenceError(at, (theta, o, omega, theta_a, omega_a, o_i), traj) from exc
 """
 _RATES = (("theta", "omega"), ("o", "o_rate"), ("omega", "omega_dot"),

@@ -25,6 +25,7 @@ from hooprobot.cli import (
     settling_time,
 )
 from hooprobot.controller import Gains
+from hooprobot.reference import SAMPLES
 from hooprobot.regularizer import nominal_from_true
 from hooprobot.sim import CSV_HEADER, SimConfig, Trajectory
 
@@ -136,6 +137,15 @@ class TestBuilders:
         plain = SimConfig(plant=built.plant, nominal=built.nominal, gains=built.gains)
         for f in fields(SimConfig):
             assert getattr(built, f.name) == getattr(plain, f.name), f.name
+
+    def test_scenario_parameters_are_sim_config_fields_and_schema_keys(self):
+        # a scenario parameter is named alike in reference.SAMPLES, SimConfig
+        # and the [reference] section, so no map between the names is needed
+        config_fields = {f.name for f in fields(SimConfig)}
+        keys = {opt.key for opt in SCHEMA if opt.section == "reference"}
+        for scenario, (params, _, _) in SAMPLES.items():
+            for name in params:
+                assert name in config_fields and name in keys, (scenario, name)
 
     def test_bad_value_becomes_config_error(self):
         cfg = load_config(None)
@@ -658,6 +668,26 @@ class TestCertificateFlags:
             assert captured.err.count("\n") == 1
             assert captured.err.startswith(f"config error: {message}")
             assert not out.exists()
+
+    @pytest.mark.parametrize("mismatch", ["abc", "nan", "0", "-1.5"])
+    @pytest.mark.parametrize("command", [
+        ["check-gains", "--kp", "120"],
+        ["check-gains", "--sweep", "kp", "90:100:5"],
+        ["sweep", "--count", "3"],
+    ])
+    def test_bad_mismatch_exits_two_with_one_line(self, command, mismatch, tmp_path, capsys):
+        # these commands audit at --cert-mismatch, but take --mismatch and
+        # reject what simulate rejects
+        out = tmp_path / "sweep.csv"
+        argv = [*command, "--mismatch", mismatch]
+        if command[0] == "sweep":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("config error: invalid mismatch:")
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_sweep_error_in_a_chunk_exits_two_with_one_line(

@@ -57,7 +57,7 @@ class TestError:
         assert omega_e == pytest.approx(0.5 - (-2.0), rel=1e-14)
 
     def test_zero_for_perfect_tracking(self):
-        ref = make_reference("ramp", -1.0, v=0.2)(3.0)
+        ref = make_reference("ramp", o_ref0=-1.0, ramp_v=0.2)(3.0)
         s = HoopState(theta=0.0, o=ref.o_ref, omega=-ref.o_dot_ref / 0.18,
                       theta_a=0.0, omega_a=0.0)
         o_e, omega_e, eta_e = error(s, ref, 0.18)

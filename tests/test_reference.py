@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hooprobot.reference import (
-    SCENARIOS,
-    ReferenceSample,
-    constant,
-    make_reference,
-    ramp,
-    sinusoid,
-)
+from hooprobot.reference import SCENARIOS, ReferenceSample, make_reference
 
 
 def test_scenario_ids():
@@ -20,7 +13,7 @@ def test_scenario_ids():
 
 
 def test_constant_holds_position():
-    ref = constant(-2.5)
+    ref = make_reference("fixed_point", o_ref0=-2.5)
     for t in (0.0, 1.0, 17.3):
         sample = ref(t)
         assert sample.o_ref == -2.5
@@ -30,7 +23,7 @@ def test_constant_holds_position():
 
 
 def test_ramp_values():
-    ref = ramp(1.0, 0.2)
+    ref = make_reference("ramp", o_ref0=1.0, ramp_v=0.2)
     assert ref(0.0).o_ref == 1.0
     assert ref(5.0).o_ref == pytest.approx(2.0)
     assert ref(5.0).o_dot_ref == 0.2
@@ -38,13 +31,13 @@ def test_ramp_values():
 
 
 def test_ramp_with_zero_speed_is_constant():
-    ref = ramp(0.7, 0.0)
+    ref = make_reference("ramp", o_ref0=0.7, ramp_v=0.0)
     assert ref(9.0).o_ref == 0.7
     assert ref(9.0).o_dot_ref == 0.0
 
 
 def test_sinusoid_starts_at_rest():
-    ref = sinusoid(0.3, amplitude=0.3, rate=0.5)
+    ref = make_reference("sinusoid", o_ref0=0.3, sin_amplitude=0.3, sin_rate=0.5)
     sample = ref(0.0)
     assert sample.o_ref == pytest.approx(0.3)
     assert sample.o_dot_ref == 0.0
@@ -52,7 +45,7 @@ def test_sinusoid_starts_at_rest():
 
 
 def test_sinusoid_velocity_profile():
-    ref = sinusoid(0.0, amplitude=0.3, rate=0.5)
+    ref = make_reference("sinusoid", o_ref0=0.0, sin_amplitude=0.3, sin_rate=0.5)
     t = 2.0
     assert ref(t).o_dot_ref == pytest.approx(0.3 * math.sin(1.0), rel=1e-14)
     # velocity is periodic with period 2 pi / rate
@@ -82,8 +75,11 @@ def finite(lo, hi):
 @given(o0=finite(-5.0, 5.0), v=finite(-2.0, 2.0), amplitude=finite(-2.0, 2.0),
        rate=finite(1e-3, 20.0), t=finite(0.0, 200.0))
 def test_samples_equal_the_plain_constructions_bitwise(o0, v, amplitude, rate, t):
-    for built, plain in ((ramp(o0, v), plain_ramp(o0, v)),
-                         (sinusoid(o0, amplitude, rate), plain_sinusoid(o0, amplitude, rate))):
+    for built, plain in (
+        (make_reference("ramp", o_ref0=o0, ramp_v=v), plain_ramp(o0, v)),
+        (make_reference("sinusoid", o_ref0=o0, sin_amplitude=amplitude, sin_rate=rate),
+         plain_sinusoid(o0, amplitude, rate)),
+    ):
         sample, want = built(t), plain(t)
         assert type(sample) is ReferenceSample
         assert [x.hex() for x in sample] == [x.hex() for x in want]
@@ -92,19 +88,19 @@ def test_samples_equal_the_plain_constructions_bitwise(o0, v, amplitude, rate, t
 
 def test_sinusoid_rejects_bad_rate():
     with pytest.raises(ValueError, match="rate"):
-        sinusoid(0.0, 0.3, rate=0.0)
+        make_reference("sinusoid", o_ref0=0.0, sin_amplitude=0.3, sin_rate=0.0)
     with pytest.raises(ValueError, match="rate"):
-        sinusoid(0.0, 0.3, rate=-0.5)
+        make_reference("sinusoid", o_ref0=0.0, sin_amplitude=0.3, sin_rate=-0.5)
 
 
 @pytest.mark.parametrize("scenario,params", [
     ("fixed_point", {}),
-    ("ramp", {"v": 0.4}),
-    ("sinusoid", {"amplitude": 0.2, "rate": 0.8}),
+    ("ramp", {"ramp_v": 0.4}),
+    ("sinusoid", {"sin_amplitude": 0.2, "sin_rate": 0.8}),
 ])
 def test_derivatives_are_consistent(scenario, params):
     # o_dot_ref and o_ddot_ref must be the actual time derivatives of o_ref
-    ref = make_reference(scenario, -1.0, **params)
+    ref = make_reference(scenario, o_ref0=-1.0, **params)
     h = 1e-4
     for t in np.linspace(0.1, 30.0, 40):
         a, b = ref(t - h), ref(t + h)
@@ -117,13 +113,15 @@ def test_derivatives_are_consistent(scenario, params):
 
 def test_make_reference_rejects_unknown_scenario():
     with pytest.raises(ValueError, match="unknown scenario"):
-        make_reference("spiral", 0.0)
+        make_reference("spiral", o_ref0=0.0)
 
 
 def test_make_reference_rejects_foreign_parameters():
-    with pytest.raises(TypeError, match="unexpected keyword argument 'v'"):
-        make_reference("fixed_point", 0.0, v=0.2)
-    with pytest.raises(TypeError, match="unexpected keyword argument 'amplitude'"):
-        make_reference("ramp", 0.0, v=0.2, amplitude=0.3)
-    with pytest.raises(TypeError, match="unexpected keyword argument 'v'"):
-        make_reference("sinusoid", 0.0, amplitude=0.3, rate=0.5, v=0.1)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'ramp_v'"):
+        make_reference("fixed_point", o_ref0=0.0, ramp_v=0.2)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'sin_amplitude'"):
+        make_reference("ramp", o_ref0=0.0, ramp_v=0.2, sin_amplitude=0.3)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'ramp_v'"):
+        make_reference("sinusoid", o_ref0=0.0, sin_amplitude=0.3, sin_rate=0.5, ramp_v=0.1)
+    with pytest.raises(TypeError, match="o_ref0"):  # every scenario takes its start
+        make_reference("ramp", ramp_v=0.2)

@@ -1,5 +1,6 @@
 """The inner-loop transformation: cancellation terms and the covariant identity."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,4 +170,20 @@ class TestRegularize:
                 gamma = christoffel(field, theta_a)
                 residual = inertia * rates[2] + inertia * gamma * omega_a * omega_e
                 assert residual == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+    def test_incline_residual_closed_form(self):
+        # at belief = truth the spin-channel gravity plus the shaping torque is
+        # sin(beta) (r m_t g - h cos^2) + (h/2) sin(2 theta_a) (1 - cos(beta)),
+        # with h = m_a^2 r l^2 g / (i_a + m_a l^2); the tolerance is absolute
+        # in the torque scale, since the value is ~0 near beta = 0
+        n = nominal_from_true(TRUE, 1.0)
+        h = TRUE.m_a**2 * TRUE.r * TRUE.l**2 * TRUE.g / (TRUE.i_a + TRUE.m_a * TRUE.l**2)
+        weight = TRUE.r * TRUE.m_total * TRUE.g
+        rng = np.random.default_rng(21)
+        for theta_a, beta in rng.uniform((-math.pi, -1.5), (math.pi, 1.5), (2000, 2)):
+            p = replace(TRUE, beta=float(beta))
+            value = gravity_torques(p, theta_a)[0] + shaping_torque(n, theta_a)
+            closed = (math.sin(beta) * (weight - h * math.cos(theta_a) ** 2)
+                      + h / 2.0 * math.sin(2.0 * theta_a) * (1.0 - math.cos(beta)))
+            assert abs(value - closed) <= 1e-12 * (weight + h)
 
