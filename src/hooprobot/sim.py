@@ -41,7 +41,6 @@ import signal
 from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass, field as dc_field
-from itertools import chain
 from textwrap import indent
 from typing import Callable, Optional
 
@@ -150,22 +149,25 @@ class SimConfig:
         return make_reference(self.scenario, **self._reference_params())
 
 
+_column = functools.partial(array, "d")
+
+
 @dataclass
 class Trajectory:
-    """Recorded closed-loop run on a uniform grid (one entry per column list)."""
+    """Recorded closed-loop run on a uniform grid, one ``array('d')`` per column."""
 
-    t: list[float] = dc_field(default_factory=list)
-    theta: list[float] = dc_field(default_factory=list)
-    o: list[float] = dc_field(default_factory=list)
-    omega: list[float] = dc_field(default_factory=list)
-    theta_a: list[float] = dc_field(default_factory=list)
-    omega_a: list[float] = dc_field(default_factory=list)
-    o_I: list[float] = dc_field(default_factory=list)
-    o_e: list[float] = dc_field(default_factory=list)
-    omega_e: list[float] = dc_field(default_factory=list)
-    tau_u: list[float] = dc_field(default_factory=list)
-    tilde_tau_u: list[float] = dc_field(default_factory=list)
-    energy: list[float] = dc_field(default_factory=list)
+    t: array = dc_field(default_factory=_column)
+    theta: array = dc_field(default_factory=_column)
+    o: array = dc_field(default_factory=_column)
+    omega: array = dc_field(default_factory=_column)
+    theta_a: array = dc_field(default_factory=_column)
+    omega_a: array = dc_field(default_factory=_column)
+    o_I: array = dc_field(default_factory=_column)
+    o_e: array = dc_field(default_factory=_column)
+    omega_e: array = dc_field(default_factory=_column)
+    tau_u: array = dc_field(default_factory=_column)
+    tilde_tau_u: array = dc_field(default_factory=_column)
+    energy: array = dc_field(default_factory=_column)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -231,9 +233,10 @@ def _fork_writer(tables: list, reference: Reference) -> tuple:
     """Fork a process that writes the open ``tables`` from blocks sent to it.
 
     Returns ``(send, finish)`` for this process.  ``send(block)`` puts a
-    block of ``_table_writer`` down a pipe as raw doubles, column after
-    column.  Every block but the last has ``CSV_CHUNK`` rows, so one read of
-    that size takes one block, and a shorter one ends the stream.
+    block of ``_table_writer``, ``array('d')`` slices of the columns, down a
+    pipe as their bytes, column after column.  Every block but the last has
+    ``CSV_CHUNK`` rows, so one read of that size takes one block, and a
+    shorter one ends the stream.
     ``finish()`` closes the pipe, waits for the writer and raises
     WriterError unless it exited with 0.
 
@@ -275,7 +278,7 @@ def _fork_writer(tables: list, reference: Reference) -> tuple:
         fh.close()
 
     def send(block: list) -> None:
-        data = memoryview(array("d", chain.from_iterable(block))).cast("B")
+        data = memoryview(b"".join(block))
         while data:
             data = data[os.write(write_fd, data):]
 
@@ -539,7 +542,8 @@ def closed_loop(cfg: SimConfig) -> Callable[[ReferenceSample, tuple, Optional[tu
 
 
 def integrate(cfg: SimConfig) -> Trajectory:
-    """Run the closed loop; returns the recorded trajectory.
+    """Run the closed loop; returns the recorded trajectory, whose columns
+    hold the recorded values as exact doubles at 8 bytes per value.
 
     Raises DivergenceError (with the partial trajectory attached) if any
     state component leaves [-1e6, 1e6] or becomes non-finite, or a value
@@ -574,7 +578,8 @@ def integrate_to_csv(cfg: SimConfig, path, figures=()) -> Trajectory:
     The tables are opened before the run starts, so an error opening one
     raises before any step.  A forked writer process (``_fork_writer``)
     formats and writes them while this process integrates; every
-    ``CSV_CHUNK`` recorded rows are sent to it.  However the run ends,
+    ``CSV_CHUNK`` recorded rows go to it as the bytes of the columns, exact
+    doubles at 8 bytes per value as in ``integrate``.  However the run ends,
     normally or by an exception (DivergenceError, a stage's ValueError,
     KeyboardInterrupt), the rows not yet sent follow and the writer is
     waited for, so the files hold every recorded row, byte for byte what

@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 import os
+from array import array
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -47,11 +48,11 @@ def interrupt_at_row(monkeypatch):
     raise KeyboardInterrupt when the loop records a row at time t or later,
     before any column of that row."""
     def install(t_stop):
-        class Times(list):
+        class Times(array):
             def append(self, t):
                 if t >= t_stop:
                     raise KeyboardInterrupt
                 super().append(t)
 
-        monkeypatch.setattr(sim, "Trajectory", lambda: Trajectory(t=Times()))
+        monkeypatch.setattr(sim, "Trajectory", lambda: Trajectory(t=Times("d")))
     return install

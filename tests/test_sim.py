@@ -6,6 +6,8 @@ import math
 import os
 import random
 import traceback
+import tracemalloc
+from array import array
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -202,10 +204,8 @@ class TestIntegrate:
     def test_deterministic(self):
         a = integrate(make_config(t_end=5.0))
         b = integrate(make_config(t_end=5.0))
-        assert a.o == b.o
-        assert a.omega_a == b.omega_a
-        assert a.tau_u == b.tau_u
-        assert a.energy == b.energy
+        for column in TRAJECTORY_COLUMNS:
+            assert bits(getattr(a, column)) == bits(getattr(b, column)), column
 
     def test_rest_at_origin_stays_put(self):
         cfg = make_config(plant=FLAT, mismatch=1.0, t_end=1.0,
@@ -666,12 +666,48 @@ class TestTrajectoryCsv:
         traj.write_csv(target)
         lines = target.read_text().splitlines()[1:]
         read_back = [float(line.split(",")[2]) for line in lines]
-        assert read_back == traj.o  # repr() loses nothing
+        assert read_back == traj.o.tolist()  # repr() loses nothing
 
     def test_empty_trajectory_writes_header_only(self, tmp_path):
         target = tmp_path / "empty.csv"
         Trajectory().write_csv(target)
         assert target.read_text() == CSV_HEADER + "\n"
+
+
+class TestColumnLayout:
+    """Each column is an ``array('d')``, 8 bytes per recorded value."""
+
+    def test_every_column_is_an_array_of_doubles(self, tmp_path):
+        cfg = make_config(scenario="sinusoid", feedforward=True, t_end=1.0, stride=7)
+        diverging = make_config(t_end=1.0, stride=1, initial=HoopState(0.0, 0.0, 0.0, 0.0, 900.0))
+        with pytest.raises(DivergenceError) as excinfo:
+            integrate(diverging)
+        runs = {"integrate": integrate(cfg),
+                "integrate_to_csv": streamed(cfg, tmp_path / "streamed"),
+                "DivergenceError": excinfo.value.trajectory}
+        for name, traj in runs.items():
+            assert len(traj) > 1, name
+            for column in TRAJECTORY_COLUMNS:
+                values = getattr(traj, column)
+                assert type(values) is array and values.typecode == "d", (name, column)
+
+    def test_a_dense_run_holds_about_8_bytes_per_value(self):
+        # 12 columns of 8-byte doubles.  An array grows its buffer by about
+        # 1/16 of its length, so 1.5 times the values covers its spare room;
+        # the fixed 64 KiB covers the Trajectory and array objects, the
+        # loop's frame and the few floats alive within a step.  Columns as
+        # lists would hold an 8-byte slot and a 24-byte float per value.
+        cfg = make_config(t_end=5.0, stride=1)
+        integrate(replace(cfg, t_end=0.01))  # compiles the loop before the measurement
+        tracemalloc.start()
+        try:
+            traj = integrate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = len(traj)
+        assert rows >= 5000
+        assert peak < 12 * 8 * rows * 1.5 + 64 * 1024
 
 
 def parent_write_csv(traj, path):
