@@ -302,7 +302,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> in
                 [(out_dir / name, columns) for name, columns in FIGURES],
             )
             summary = _summary(traj)
-        except (DivergenceError, ValueError) as exc:  # also a non-finite torque, a singular coupling
+        except (DivergenceError, ValueError) as exc:  # also a non-finite torque
             print(f"error: {exc}", file=sys.stderr)  # the partial run is written all the same
         except WriterError as exc:
             if exc.status < 0:  # a signal ended the writer before it could say why
@@ -456,12 +456,13 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> int:
         raise ConfigError(
             f"--count and --jobs must be >= 1, got {args.count} and {args.jobs}"
         )
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     _, constants, kappa = _certificate_inputs(cfg, args)
     import numpy as np  # imported here: simulate starts without numpy
     from multiprocessing import Pool  # imported here: no other command needs it
 
-    with _evaluating_certificate():  # a negative seed is a ValueError
-        u_rows = np.random.default_rng(args.seed).random((args.count, 3)).tolist()
+    u_rows = np.random.default_rng(args.seed).random((args.count, 3)).tolist()
     sweep_chunk = partial(_sweep_chunk, constants=constants, kappa=kappa, r_const=args.r_const)
     chunks = (u_rows[i:i + certificate.CHUNK] for i in range(0, args.count, certificate.CHUNK))
     # Every chunk is certified before --out is opened, so a failed sweep

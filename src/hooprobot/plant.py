@@ -22,13 +22,12 @@ from typing import Optional
 
 from .geometry import InertiaField, cos_squared_field
 
-# Denominator guard for the coupling gain; below this the input matrix is
-# effectively singular and no torque allocation is meaningful.
+# Least margin by which the pendulum inertia i_a + m_a l^2 must exceed the
+# coupling amplitude m_a r l.  Every coupling denominator the code computes,
+# pend - amp * cos(theta_a), is then at least fl(pend - amp) >= this bound:
+# amp > 0 and |cos| <= 1, and rounding is monotone.  Below it the input
+# matrix is effectively singular and no torque allocation is meaningful.
 COUPLING_SINGULARITY_TOL = 1e-12
-
-
-class SingularCouplingError(ValueError):
-    """Input coupling denominator vanished: torque cannot reach both channels."""
 
 
 def derive_mass_constants(params) -> None:
@@ -66,9 +65,10 @@ class PlantParams:
     are constant torques added to the respective reduced equations; they
     default to zero.  ``g`` is kept as a parameter so conservation tests can
     switch gravity off.  The pendulum inertia i_a + m_a l^2 must exceed the
-    coupling amplitude m_a r l; otherwise the coupling denominator of
-    ``coupling_gain`` vanishes at some actuator angle, and no torque reaches
-    both channels there.
+    coupling amplitude m_a r l by at least ``COUPLING_SINGULARITY_TOL``, so
+    that, rounding being monotone, no coupling denominator
+    i_a + m_a l^2 - m_a r l cos(theta_a) computed at any actuator angle falls
+    below that margin; near zero no torque would reach both channels.
     """
 
     m_h: float
@@ -95,10 +95,11 @@ class PlantParams:
             raise ValueError(
                 f"actuator arm must fit inside the hoop: l={self.l!r} >= r={self.r!r}"
             )
-        if not self.pendulum_inertia > self.coupling_amp:
+        if not self.pendulum_inertia - self.coupling_amp >= COUPLING_SINGULARITY_TOL:
             raise ValueError(
-                "input coupling can vanish: i_a + m_a l^2 = "
-                f"{self.pendulum_inertia!r} must exceed m_a r l = {self.coupling_amp!r}"
+                f"input coupling can vanish: i_a + m_a l^2 = {self.pendulum_inertia!r} "
+                f"must exceed m_a r l = {self.coupling_amp!r} "
+                f"by at least {COUPLING_SINGULARITY_TOL:g}"
             )
         if not (-math.pi / 2 < self.beta < math.pi / 2):
             raise ValueError(f"incline angle must lie in (-pi/2, pi/2), got {self.beta!r}")
@@ -152,11 +153,6 @@ def coupling_gain(p: PlantParams, theta_a: float) -> float:
     """Gain B(theta_a) mapping the input torque onto the actuator equation."""
     coupling = p.coupling_amp * math.cos(theta_a)
     denom = p.pendulum_inertia - coupling
-    if abs(denom) < COUPLING_SINGULARITY_TOL:
-        raise SingularCouplingError(
-            f"input coupling singular at theta_a={theta_a!r}: "
-            f"pendulum inertia {p.pendulum_inertia!r} cancels coupling {coupling!r}"
-        )
     return coupling / p.pendulum_inertia - p.inertia(theta_a) / denom
 
 

@@ -45,13 +45,7 @@ from textwrap import indent
 from typing import Callable, Optional
 
 from .controller import Gains
-from .plant import (
-    COUPLING_SINGULARITY_TOL,
-    HoopState,
-    PlantParams,
-    SingularCouplingError,
-    coupling_gain,
-)
+from .plant import HoopState, PlantParams
 from .reference import (
     SAMPLES, SCENARIOS, Reference, ReferenceSample, define, make_reference, sample_source,
 )
@@ -387,10 +381,6 @@ def lagrangian_oracle(
         dpe_dq[j] = (pe_at(qp[0], qp[1]) - pe_at(qm[0], qm[1])) / (2.0 * h_q)
 
     denom = p.pendulum_inertia - p.coupling_amp * math.cos(s.theta_a)
-    if abs(denom) < COUPLING_SINGULARITY_TOL:
-        raise SingularCouplingError(
-            f"input allocation singular at theta_a={s.theta_a!r}"
-        )
     tau = tau_u * p.pendulum_inertia / denom
     rhs = [
         tau + dke_dq[0] - dpe_dq[0] - (dp_dq[0][0] * w[0] + dp_dq[0][1] * w[1]),
@@ -464,8 +454,6 @@ inertia = rolling - dip * cos_a**2
 sin_hang = sin(theta_a + beta)
 coupling = amp * cos_a
 denom = pend - coupling
-if abs(denom) < COUPLING_SINGULARITY_TOL:
-    coupling_gain(p, theta_a)  # raises the plant's SingularCouplingError
 coupling_ratio = coupling / pend
 tau_spin = spin_incline - spin_hang * cos_a * sin_hang
 tau_act = coupling_ratio * tau_spin - inertia * m_a * grav * l * sin_hang / pend
@@ -535,8 +523,7 @@ def closed_loop(cfg: SimConfig) -> Callable[[ReferenceSample, tuple, Optional[tu
     order of those functions, ``**2`` included, and a constant is hoisted
     only where it is a left-to-right prefix of one, so the rates and torques
     equal the modular composition bit for bit, as the tests check.  Its
-    checks are the same too: a non-finite torque raises ValueError, a
-    vanishing input-coupling denominator SingularCouplingError.
+    check is the same too: a non-finite torque raises ValueError.
     """
     return _stage_factory(cfg.open_loop, cfg.feedforward)(cfg.plant, cfg.nominal, cfg.gains)
 
@@ -558,16 +545,11 @@ def integrate(cfg: SimConfig) -> Trajectory:
     recorded row.  An overflow in k1 or in the row at t reports a
     divergence at t, one in k2 to k4 at t + dt; both carry the state at t.
 
-    A ValueError from a stage (a non-finite torque, a singular input
-    coupling) carries the rows recorded before it as ``trajectory``, as a
-    DivergenceError does.
+    A ValueError from a stage (a non-finite torque) carries the rows
+    recorded before it as ``trajectory``, as a DivergenceError does.
     """
     traj = Trajectory()
-    try:
-        _run(cfg, traj)
-    except ValueError as exc:
-        exc.trajectory = traj
-        raise
+    _run(cfg, traj)
     return traj
 
 
@@ -719,14 +701,19 @@ def _loop(scenario: str, open_loop: bool, feedforward: bool, hold: bool) -> Call
 
 def _run(cfg: SimConfig, traj: Trajectory, flush: Optional[Callable[[], None]] = None) -> None:
     """The RK4 loop of ``integrate``, recording into ``traj``; ``flush()``,
-    when given, runs after every ``CSV_CHUNK``-th recorded row."""
+    when given, runs after every ``CSV_CHUNK``-th recorded row.  A stage's
+    ValueError leaves with ``traj`` attached as its ``trajectory``."""
     dt = cfg.dt
     # an open loop has no torque to hold
     hold = cfg.hold_dt is not None and not cfg.open_loop
     hold_steps = max(1, int(round(cfg.hold_dt / dt))) if hold else None
     s = cfg.initial
-    _loop(cfg.scenario, cfg.open_loop, cfg.feedforward, hold)(
-        cfg.plant, cfg.nominal, cfg.gains, flush, traj, dt, int(round(cfg.t_end / dt)),
-        cfg.stride, hold_steps, s.theta, s.o, s.omega, s.theta_a, s.omega_a, 0.0,
-        **cfg._reference_params(),
-    )
+    try:
+        _loop(cfg.scenario, cfg.open_loop, cfg.feedforward, hold)(
+            cfg.plant, cfg.nominal, cfg.gains, flush, traj, dt, int(round(cfg.t_end / dt)),
+            cfg.stride, hold_steps, s.theta, s.o, s.omega, s.theta_a, s.omega_a, 0.0,
+            **cfg._reference_params(),
+        )
+    except ValueError as exc:
+        exc.trajectory = traj
+        raise

@@ -728,6 +728,25 @@ class TestEquilibriumCommand:
         assert "no equilibrium" in capsys.readouterr().out
 
 
+# i_a + m_a l^2 exceeds m_a r l by about 5e-13, less than the plant's margin
+NEAR_SINGULAR = ["--r", "0.2", "--m-a", "1.0", "--l", "0.1", "--i-a", "0.0100000000005",
+                 "--beta", "0"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "equilibrium", "check-gains"])
+def test_plant_whose_coupling_can_vanish_exits_two_with_one_line(command, tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    extra = ["--out", str(out)] if command == "simulate" else []
+    assert main([command, *NEAR_SINGULAR, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(
+        "config error: invalid plant parameters: input coupling can vanish: ")
+    assert list(out.iterdir()) == []
+
+
 class TestSweepCommand:
     def test_writes_csv_and_summary(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -754,6 +773,14 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("config error: --count and --jobs must be >= 1")
+        assert not out.exists()
+
+    def test_rejects_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--seed", "-1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: --seed must be >= 0, got -1\n"
         assert not out.exists()
 
     def test_directory_as_out_exits_two_with_one_line(self, tmp_path, capsys):

@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from hooprobot.geometry import christoffel
 from hooprobot.plant import (
+    COUPLING_SINGULARITY_TOL,
     EquilibriumResult,
     HoopState,
     PlantParams,
-    SingularCouplingError,
     actuator_equilibrium,
     coupling_gain,
     derivative,
@@ -83,15 +84,17 @@ class TestParams:
         dict(i_a=0.001, l=0.17),  # 0.0958 < 0.1004: singular near 17.4 degrees
         dict(m_h=1.0, i_h=0.05, r=0.2, m_a=5.0, i_a=0.01, l=0.1),  # 0.06 < 0.1
         dict(r=0.2, m_a=1.0, i_a=0.01, l=0.1),  # 0.02 = 0.02: singular at 0
+        # 0.0200000000005 - 0.02 < 1e-12: the denominator at 0 is below the margin
+        dict(r=0.2, m_a=1.0, i_a=0.0100000000005, l=0.1),
     ])
     def test_rejects_vanishing_input_coupling(self, overrides):
-        with pytest.raises(ValueError, match="input coupling can vanish"):
+        with pytest.raises(ValueError, match="input coupling can vanish.*by at least 1e-12"):
             make_plant(**overrides)
         # the controller never divides by the believed coupling denominator
         base = dict(m_h=1.0, i_h=0.021, r=0.18, m_a=3.28, i_a=0.035, l=0.14)
         base.update(overrides)
         believed = NominalParams(**base)
-        assert believed.pendulum_inertia <= believed.coupling_amp
+        assert believed.pendulum_inertia - believed.coupling_amp < COUPLING_SINGULARITY_TOL
 
 
 class TestGravityTorques:
@@ -140,14 +143,25 @@ class TestCouplingGain:
                 coupling_gain(PLANT, -q), rel=1e-13
             )
 
-    def test_singular_configuration_raises(self, singular_plant):
-        bad_angle = math.acos(singular_plant.pendulum_inertia / singular_plant.coupling_amp)
-        with pytest.raises(SingularCouplingError):
-            coupling_gain(singular_plant, bad_angle)
-        with pytest.raises(SingularCouplingError):
-            coupling_gain(singular_plant, -bad_angle)
-        # away from the bad angle the gain is fine
-        assert math.isfinite(coupling_gain(singular_plant, bad_angle + 0.5))
+    @given(
+        r=st.floats(0.05, 2.0), arm=st.floats(0.05, 0.95), m_a=st.floats(0.1, 10.0),
+        m_h=st.floats(0.1, 10.0), i_h=st.floats(1e-3, 1.0), gap=st.floats(1e-12, 1e-11),
+        q=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_denominator_keeps_the_margin_on_barely_admitted_plants(
+        self, r, arm, m_a, m_h, i_h, gap, q,
+    ):
+        # pend - amp = i_a - m_a l (r - l), so this i_a puts it at about gap
+        l = arm * r
+        try:
+            p = PlantParams(m_h=m_h, i_h=i_h, r=r, m_a=m_a, i_a=m_a * l * (r - l) + gap, l=l)
+        except ValueError:
+            p = None
+        assume(p is not None and p.pendulum_inertia - p.coupling_amp <= 1e-11)
+        for angle in (0.0, -0.0, 5e-324, 1e-8, -1e-8, math.pi, 2.0 * math.pi, q):
+            denom = p.pendulum_inertia - p.coupling_amp * math.cos(angle)
+            assert denom >= COUPLING_SINGULARITY_TOL, angle
+            assert math.isfinite(coupling_gain(p, angle))
 
 
 class TestDerivative:
