@@ -302,7 +302,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> in
                 [(out_dir / name, columns) for name, columns in FIGURES],
             )
             summary = _summary(traj)
-        except (DivergenceError, ValueError) as exc:  # also a non-finite torque
+        except DivergenceError as exc:
             print(f"error: {exc}", file=sys.stderr)  # the partial run is written all the same
         except WriterError as exc:
             if exc.status < 0:  # a signal ended the writer before it could say why
@@ -425,10 +425,11 @@ def cmd_equilibrium(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) ->
     result = actuator_equilibrium(plant)
     print(f"beta_max = {math.degrees(result.beta_max):.4f} deg ({result.beta_max:.6f} rad)")
     if result.theta_a is None:
-        print(
-            f"no equilibrium: incline {math.degrees(plant.beta):.4f} deg exceeds "
-            f"the holdable maximum"
-        )
+        if abs(plant.beta) > result.beta_max:
+            print(f"no equilibrium: incline {math.degrees(plant.beta):.4f} deg exceeds "
+                  f"the holdable maximum")
+        else:
+            print("no equilibrium: no restoring actuator angle balances the torques")
         return 1
     print(
         f"theta_a* = {math.degrees(result.theta_a):.4f} deg ({result.theta_a:.6f} rad)"

@@ -25,8 +25,8 @@ class Gains:
     """PID gains. k_c is carried for config fidelity but drives nothing.
 
     k_c appears in the published gain set for this system without a defining
-    equation; it is stored and echoed in logs so configurations round-trip,
-    and deliberately left out of every control computation.
+    equation; it is stored and written to the manifest so configurations
+    round-trip, and deliberately left out of every control computation.
     """
 
     k_p: float

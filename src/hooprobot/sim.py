@@ -401,13 +401,14 @@ def lagrangian_oracle(
 # for a run's flags, ``closed_loop`` compiles it as a function and ``_run``
 # inlines it at each RK4 stage.  It reads the state o, omega, theta_a,
 # omega_a, o_i and the sample o_ref, o_dot_ref, o_ddot_ref, and sets
-# omega_dot, omega_a_dot, o_i_rate, tau_u and tilde.  Squares stay ``**2``
+# omega_dot, omega_a_dot, o_i_rate, tau_u and tilde, by arithmetic and the sin
+# and cos of ``math`` alone, so it runs on symbols too.  Squares stay ``**2``
 # as in the modular functions: glibc's pow(x, 2.0) differs from x*x in the
 # last bit for 2485 of 3,000,000 doubles drawn from U(-10, 10) (glibc 2.36,
 # x86-64), so x*x would break the bit-equality with them.  ``_CONSTANTS``
 # reads the true plant p, the belief n and the gains g once per run.
 _CONSTANTS = """\
-sin, cos, isfinite = math.sin, math.cos, math.isfinite
+sin, cos = math.sin, math.cos
 beta, neg_r = p.beta, -p.r
 rolling, dip = p.rolling_inertia, p.inertia_dip
 amp, pend = p.coupling_amp, p.pendulum_inertia
@@ -448,8 +449,6 @@ tau_u += tau_ref
 tilde += tau_ref
 """
 _PLANT = """\
-if not isfinite(tau_u):
-    raise ValueError(f"control torque must be finite, got {tau_u!r}")
 inertia = rolling - dip * cos_a**2
 sin_hang = sin(theta_a + beta)
 coupling = amp * cos_a
@@ -522,8 +521,9 @@ def closed_loop(cfg: SimConfig) -> Callable[[ReferenceSample, tuple, Optional[tu
     sin(theta_a + beta) once per stage.  Every expression keeps the operand
     order of those functions, ``**2`` included, and a constant is hoisted
     only where it is a left-to-right prefix of one, so the rates and torques
-    equal the modular composition bit for bit, as the tests check.  Its
-    check is the same too: a non-finite torque raises ValueError.
+    equal the modular composition bit for bit, as the tests check.  It
+    checks nothing: a non-finite torque gives a non-finite ``omega_dot``,
+    which ends the step of ``integrate`` that takes it.
     """
     return _stage_factory(cfg.open_loop, cfg.feedforward)(cfg.plant, cfg.nominal, cfg.gains)
 
@@ -544,9 +544,8 @@ def integrate(cfg: SimConfig) -> Trajectory:
     for k4; an open loop, whose stages ignore the sample, only at t for a
     recorded row.  An overflow in k1 or in the row at t reports a
     divergence at t, one in k2 to k4 at t + dt; both carry the state at t.
-
-    A ValueError from a stage (a non-finite torque) carries the rows
-    recorded before it as ``trajectory``, as a DivergenceError does.
+    A step whose stage computes a non-finite torque diverges at t + dt; a
+    row at t holds k1's torque, finite or not.
     """
     traj = Trajectory()
     _run(cfg, traj)
@@ -562,10 +561,9 @@ def integrate_to_csv(cfg: SimConfig, path, figures=()) -> Trajectory:
     formats and writes them while this process integrates; every
     ``CSV_CHUNK`` recorded rows go to it as the bytes of the columns, exact
     doubles at 8 bytes per value as in ``integrate``.  However the run ends,
-    normally or by an exception (DivergenceError, a stage's ValueError,
-    KeyboardInterrupt), the rows not yet sent follow and the writer is
-    waited for, so the files hold every recorded row, byte for byte what
-    ``write_csv`` writes.  A failed writer raises WriterError.  Without
+    normally or by an exception (DivergenceError, KeyboardInterrupt), the
+    rows not yet sent follow and the writer is waited for, so the files hold
+    every recorded row, byte for byte what ``write_csv`` writes.  A failed writer raises WriterError.  Without
     ``os.fork`` the same writer takes the blocks in this process.
 
     A fork copies only the calling thread, so call this from a process
@@ -601,8 +599,8 @@ def integrate_to_csv(cfg: SimConfig, path, figures=()) -> Trajectory:
 # The RK4 loop of ``_run``: the state in six floats; the scenario's sample
 # and the stage template at k1 and, under the suffixes _2 to _4, at k2 to k4;
 # and the recorded row.  ``_RATES`` pairs each state variable with its rate;
-# no stage reads theta.  ``at`` is the time a failure reports: t in k1 and
-# the row, which read the state at t, and t + dt in k2 to k4.
+# no stage reads theta.  Every failure leaves as a DivergenceError, at ``at``:
+# t in k1 and the row, which read the state at t, and t + dt in k2 to k4.
 _LOOP = """\
 def loop(p, n, g, flush, traj, dt, steps, stride, hold_steps,
          theta, o, omega, theta_a, omega_a, o_i{params}):
@@ -624,7 +622,10 @@ def loop(p, n, g, flush, traj, dt, steps, stride, hold_steps,
             if not ({bounded}):  # a NaN fails as well
                 raise DivergenceError(at, (theta, o, omega, theta_a, omega_a, o_i), traj)
 {advance}
-    except OverflowError as exc:  # x**2 past about 1.3e154 raises where x*x gives inf
+    # x**2 past about 1.3e154 raises OverflowError where x*x gives inf; cos or
+    # sin of an infinite angle, after a non-finite torque, raises ValueError,
+    # which nothing else here raises: the tables stay open for the whole run
+    except (OverflowError, ValueError) as exc:
         raise DivergenceError(at, (theta, o, omega, theta_a, omega_a, o_i), traj) from exc
 """
 _RATES = (("theta", "omega"), ("o", "o_rate"), ("omega", "omega_dot"),
@@ -701,19 +702,14 @@ def _loop(scenario: str, open_loop: bool, feedforward: bool, hold: bool) -> Call
 
 def _run(cfg: SimConfig, traj: Trajectory, flush: Optional[Callable[[], None]] = None) -> None:
     """The RK4 loop of ``integrate``, recording into ``traj``; ``flush()``,
-    when given, runs after every ``CSV_CHUNK``-th recorded row.  A stage's
-    ValueError leaves with ``traj`` attached as its ``trajectory``."""
+    when given, runs after every ``CSV_CHUNK``-th recorded row."""
     dt = cfg.dt
     # an open loop has no torque to hold
     hold = cfg.hold_dt is not None and not cfg.open_loop
     hold_steps = max(1, int(round(cfg.hold_dt / dt))) if hold else None
     s = cfg.initial
-    try:
-        _loop(cfg.scenario, cfg.open_loop, cfg.feedforward, hold)(
-            cfg.plant, cfg.nominal, cfg.gains, flush, traj, dt, int(round(cfg.t_end / dt)),
-            cfg.stride, hold_steps, s.theta, s.o, s.omega, s.theta_a, s.omega_a, 0.0,
-            **cfg._reference_params(),
-        )
-    except ValueError as exc:
-        exc.trajectory = traj
-        raise
+    _loop(cfg.scenario, cfg.open_loop, cfg.feedforward, hold)(
+        cfg.plant, cfg.nominal, cfg.gains, flush, traj, dt, int(round(cfg.t_end / dt)),
+        cfg.stride, hold_steps, s.theta, s.o, s.omega, s.theta_a, s.omega_a, 0.0,
+        **cfg._reference_params(),
+    )

@@ -27,7 +27,7 @@ from hooprobot.cli import (
 from hooprobot.controller import Gains
 from hooprobot.reference import SAMPLES
 from hooprobot.regularizer import nominal_from_true
-from hooprobot.sim import CSV_HEADER, SimConfig, Trajectory
+from hooprobot.sim import SimConfig, Trajectory
 
 
 OUTPUT_FIGURES = {
@@ -36,6 +36,8 @@ OUTPUT_FIGURES = {
     "fig_velocity_error.csv": ["t", "omega_e"],
     "fig_actuator_velocity.csv": ["t", "omega_a"],
 }
+DIVERGED_AT_FIRST_STEP = ("error: simulation diverged at t=0.001000: state magnitude "
+                          "exceeded 1e+06 or became non-finite\n")
 
 
 def assert_figures_match_trajectory(out):
@@ -268,43 +270,35 @@ class TestSimulateCommand:
         assert (out / "trajectory.csv").is_file()
 
     def test_non_finite_torque_exits_one_with_one_line(self, tmp_path, capsys):
-        code = main(["simulate", "--kp", "1e308", "--t-end", "0.01",
-                     "--out", str(tmp_path / "run")])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: control torque must be finite, got -inf\n"
-
-    def test_non_finite_torque_rewrites_files_of_an_earlier_run(self, tmp_path, capsys):
+        # the torque at t = 0 is infinite: the step from t = 0 diverges
         out = tmp_path / "run"
-        assert main(["simulate", "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert main(["simulate", "--kp", "1e308", "--t-end", "0.01", "--out", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: control torque must be finite, got -inf\n"
-        assert (out / "trajectory.csv").read_text() == CSV_HEADER + "\n"
-        assert assert_figures_match_trajectory(out) == []
-        manifest = configparser.ConfigParser(interpolation=None)
-        manifest.read(out / "manifest.ini")
-        assert "summary" not in manifest
-        assert manifest["controller"]["k_p"] == "1e+308"
+        for flags in (["--kp", "1e308"], ["--o-ref0", "1e308"], ["--o0", "1e308"],
+                      ["--kp", "1e308", "--hold-dt", "0.01"]):
+            assert main(["simulate", *flags, "--t-end", "0.01", "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == DIVERGED_AT_FIRST_STEP
+            assert len(assert_figures_match_trajectory(out)) == 1  # the row at t = 0
+            manifest = configparser.ConfigParser(interpolation=None)
+            manifest.read(out / "manifest.ini")
+            assert "summary" not in manifest
 
     def test_overflow_rewrites_files_of_an_earlier_run(self, tmp_path, capsys):
-        # k_p 1e200 takes a stage's omega_a past 1.3e154, where omega_a**2 raises
+        # k_p 1e200 takes a stage's omega_a past 1.3e154, where omega_a**2
+        # raises; k_p 1e308 makes the torque infinite
         out = tmp_path / "run"
-        assert main(["simulate", "--t-end", "0.5", "--out", str(out)]) == 0
-        capsys.readouterr()
-        assert main(["simulate", "--kp", "1e200", "--t-end", "0.01", "--out", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: simulation diverged at t=0.001000: state magnitude "
-                                "exceeded 1e+06 or became non-finite\n")
-        assert len(assert_figures_match_trajectory(out)) == 1  # the row at t = 0
-        manifest = configparser.ConfigParser(interpolation=None)
-        manifest.read(out / "manifest.ini")
-        assert "summary" not in manifest
-        assert manifest["controller"]["k_p"] == "1e+200"
+        for k_p in ("1e200", "1e308"):
+            assert main(["simulate", "--t-end", "0.5", "--out", str(out)]) == 0
+            capsys.readouterr()
+            assert main(["simulate", "--kp", k_p, "--t-end", "0.01", "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == DIVERGED_AT_FIRST_STEP
+            assert len(assert_figures_match_trajectory(out)) == 1  # the row at t = 0
+            manifest = configparser.ConfigParser(interpolation=None)
+            manifest.read(out / "manifest.ini")
+            assert "summary" not in manifest
+            assert manifest["controller"]["k_p"] == repr(float(k_p))
 
     def test_interrupt_rewrites_the_manifest_of_an_earlier_run(
         self, tmp_path, leaves_no_child_or_fd, interrupt_at_row,
@@ -724,8 +718,21 @@ class TestEquilibriumCommand:
         assert "beta_max = 36.5878 deg" in out
 
     def test_steep_incline_exits_one(self, capsys):
-        assert main(["equilibrium", "--beta", "40deg"]) == 1
-        assert "no equilibrium" in capsys.readouterr().out
+        for beta in ("40", "-40"):
+            assert main(["equilibrium", f"--beta={beta}deg"]) == 1
+            assert capsys.readouterr().out.splitlines()[1] == (
+                f"no equilibrium: incline {beta}.0000 deg exceeds the holdable maximum")
+
+    @pytest.mark.parametrize("flags", [
+        ["--beta", "0", "--delta-s", "5"],  # the disturbance has no balancing angle
+        ["--g", "0"],  # every angle is neutral, none restores
+    ])
+    def test_no_restoring_angle_on_a_holdable_incline_exits_one(self, flags, capsys):
+        assert main(["equilibrium", *flags]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "beta_max = 36.5878 deg (0.638578 rad)",
+            "no equilibrium: no restoring actuator angle balances the torques",
+        ]
 
 
 # i_a + m_a l^2 exceeds m_a r l by about 5e-13, less than the plant's margin

@@ -240,24 +240,32 @@ class TestIntegrate:
         assert err.time == pytest.approx(1e-3)
         assert len(err.trajectory) == 1  # only the initial sample was recorded
 
-    @pytest.mark.parametrize("k_p, overrides, rows, time", [
-        (1e200, {}, 1, 1e-3),
-        (16.0, dict(initial=HoopState(0.0, 1e300, -0.1, 0.0, 0.1)), 1, 1e-3),
-        (16.0, dict(scenario="ramp", ramp_v=1e300), 1, 1e-3),
-        (1e300, dict(hold_dt=0.01), 1, 1e-3),
+    @pytest.mark.parametrize("k_p, overrides, rows, time, cause", [
+        (1e200, {}, 1, 1e-3, OverflowError),
+        (16.0, dict(initial=HoopState(0.0, 1e300, -0.1, 0.0, 0.1)), 1, 1e-3, OverflowError),
+        (16.0, dict(scenario="ramp", ramp_v=1e300), 1, 1e-3, OverflowError),
+        (1e300, dict(hold_dt=0.01), 1, 1e-3, OverflowError),
         # the energy of the row at t = 0 overflows, before any step
-        (16.0, dict(initial=HoopState(0.0, -2.0, 1e200, 0.0, 0.1), open_loop=True), 0, 0.0),
-    ], ids=["kp", "o0", "ramp_v", "hold", "open_loop"])
+        (16.0, dict(initial=HoopState(0.0, -2.0, 1e200, 0.0, 0.1), open_loop=True), 0, 0.0,
+         OverflowError),
+        # the torque at t = 0 is infinite: the row at t = 0 holds it
+        (1e308, {}, 1, 1e-3, ValueError),
+        (16.0, dict(o_ref0=1e308), 1, 1e-3, ValueError),
+        (16.0, dict(initial=HoopState(0.0, 1e308, 0.0, 0.0, 0.0)), 1, 1e-3, ValueError),
+        (1e308, dict(hold_dt=0.01), 1, 1e-3, ValueError),
+    ], ids=["kp", "o0", "ramp_v", "hold", "open_loop",
+            "kp_inf", "o_ref0_inf", "o0_inf", "hold_inf"])
     def test_overflow_diverges_with_the_rows_recorded_before_it(self, k_p, overrides, rows,
-                                                                 time):
+                                                                 time, cause):
         # x**2 of a double past about 1.3e154 raises OverflowError, where
-        # x*x would give inf; in k1 or the row at t it reports t, in k2 to
-        # k4 t + dt, with the state at t either way
+        # x*x would give inf; an infinite torque makes k3's actuator angle
+        # infinite, whose cos raises ValueError.  In k1 or the row at t the
+        # failure reports t, in k2 to k4 t + dt, with the state at t either way
         cfg = replace(make_config(t_end=1.0, **overrides), gains=Gains(k_p, 7.0, 4.0, 0.1))
         with pytest.raises(DivergenceError, match="diverged at") as excinfo:
             integrate(cfg)
         err = excinfo.value
-        assert isinstance(err.__cause__, OverflowError)
+        assert isinstance(err.__cause__, cause)
         assert err.time == pytest.approx(time)
         assert len(err.trajectory) == rows
         s = cfg.initial
@@ -529,14 +537,15 @@ class TestClosedLoopStage:
         assert bits(rates) == bits(expected)
         assert bits((tau_u, tilde_tau_u)) == bits(torques)
 
-    def test_rejects_non_finite_torque_like_the_plant(self):
-        cfg = make_config()
-        stage = closed_loop(cfg)
-        y = (0.0, -2.0, -0.1, 0.0, 0.1, 0.0)
-        with pytest.raises(ValueError, match="control torque must be finite"):
-            stage(cfg.reference()(0.0), y, (math.inf, 0.0))
-        with pytest.raises(ValueError, match="control torque must be finite"):
-            integrate(make_config(t_end=1.0, initial=HoopState(0.0, 1e308, 0.0, 0.0, 0.0)))
+    @settings(max_examples=100, deadline=None)
+    @given(stage_cases(), st.sampled_from([math.inf, -math.inf, math.nan]))
+    def test_non_finite_torque_gives_non_finite_omega_dot(self, case, torque):
+        # the state bound of the RK4 step relies on this: the torque enters
+        # omega_dot as a summand over a finite, positive inertia
+        cfg, t, y, _ = case
+        cfg = replace(cfg, open_loop=False)
+        rates, _, _ = closed_loop(cfg)(cfg.reference()(t), y, (torque, 0.0))
+        assert not math.isfinite(rates[2])
 
     @settings(max_examples=150, deadline=None)
     @given(run_cases())
@@ -570,6 +579,37 @@ class TestClosedLoopStage:
             assert bits(getattr(a.trajectory, column)) == bits(getattr(b.trajectory, column))
 
 
+class TestSymbolicStage:
+    def test_linearisation_at_rest_is_the_hoop_cubic_times_the_pendulum(self):
+        # The stage template is plain arithmetic, so it runs on sympy symbols
+        # as it stands.  On flat ground with belief = truth, its Jacobian in
+        # (o, omega, theta_a, omega_a, o_I) at the origin splits into the
+        # PID's cubic (the gains act as r k_p and r k_i on o in metres) and
+        # the pendulum hanging from the hoop centre.
+        sympy = pytest.importorskip("sympy")
+        m_h, i_h, r, m_a, i_a, l, grav, k_p, k_d, k_i = sympy.symbols(
+            "m_h i_h r m_a i_a l g k_p k_d k_i", positive=True)
+        lam = sympy.Symbol("lambda")
+        pend, amp = i_a + m_a * l**2, m_a * r * l
+        params = SimpleNamespace(
+            r=r, m_a=m_a, l=l, g=grav, beta=0, delta_s=0, delta_a=0, m_total=m_h + m_a,
+            pendulum_inertia=pend, coupling_amp=amp, inertia_dip=amp**2 / pend,
+            rolling_inertia=i_h + (m_h + m_a) * r**2,
+        )
+        state = sympy.symbols("o omega theta_a omega_a o_i")
+        scope = dict(math=SimpleNamespace(sin=sympy.sin, cos=sympy.cos), p=params, n=params,
+                     g=SimpleNamespace(k_p=k_p, k_d=k_d, k_i=k_i),
+                     o_ref=0, o_dot_ref=0, o_ddot_ref=0, **{str(x): x for x in state})
+        exec(sim._CONSTANTS + sim._stage_source(False, False, "fresh"), scope)
+        rates = sympy.Matrix([-r * state[1], scope["omega_dot"], state[3],
+                              scope["omega_a_dot"], scope["o_i_rate"]])
+        jacobian = rates.jacobian(state).subs({x: 0 for x in state})
+        jacobian = jacobian.applyfunc(lambda e: sympy.nsimplify(e, rational=True))
+        expected = ((lam**3 + k_d * lam**2 + r * k_p * lam + r * k_i)
+                    * (lam**2 + m_a * grav * l / (i_a + m_a * l**2 - m_a * r * l)))
+        assert sympy.cancel(jacobian.charpoly(lam).as_expr() - expected) == 0
+
+
 class TestCompiledLoop:
     """The loop source is compiled once per combination of flags and holds no
     value of a run: the constants, dt and stride come in as arguments."""
@@ -589,12 +629,14 @@ class TestCompiledLoop:
             assert bits(getattr(between, column)) == bits(getattr(modular, column)), column
 
     def test_traceback_shows_the_line_that_raised(self):
-        cfg = make_config(t_end=1.0, initial=HoopState(0.0, 1e308, 0.0, 0.0, 0.0))
-        with pytest.raises(ValueError, match="control torque must be finite") as excinfo:
+        cfg = replace(make_config(t_end=1.0), gains=Gains(1e200, 7.0, 4.0, 0.1))
+        with pytest.raises(DivergenceError) as excinfo:
             integrate(cfg)
-        frame = traceback.extract_tb(excinfo.value.__traceback__)[-1]
+        overflow = excinfo.value.__cause__
+        assert isinstance(overflow, OverflowError)
+        frame = traceback.extract_tb(overflow.__traceback__)[-1]
         assert frame.filename.startswith("<hooprobot.sim loop ")
-        assert frame.line == 'raise ValueError(f"control torque must be finite, got {tau_u!r}")'
+        assert frame.line == "omega_a_sq = omega_a_2**2"
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_the_loop_inlines_the_text_make_reference_compiles(self, scenario):
@@ -823,8 +865,8 @@ class TestIntegrateToCsv:
     @pytest.mark.parametrize("failure, overrides", [
         # diverges after 526 rows, two blocks and 14 rows
         (DivergenceError, dict(dt=5e-4, initial=HoopState(0.0, 0.0, 0.0, 0.0, 300.0))),
-        # the first stage's torque is -inf: only the headers
-        (ValueError, dict(initial=HoopState(0.0, 1e308, 0.0, 0.0, 0.0))),
+        # the torque at t = 0 is inf: the row at t = 0 only
+        (DivergenceError, dict(initial=HoopState(0.0, 1e308, 0.0, 0.0, 0.0))),
     ])
     def test_failed_run_writes_the_partial_files_of_write_csv(
         self, failure, overrides, tmp_path, leaves_no_child_or_fd,
