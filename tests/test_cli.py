@@ -283,22 +283,35 @@ class TestSimulateCommand:
             manifest.read(out / "manifest.ini")
             assert "summary" not in manifest
 
-    def test_overflow_rewrites_files_of_an_earlier_run(self, tmp_path, capsys):
-        # k_p 1e200 takes a stage's omega_a past 1.3e154, where omega_a**2
-        # raises; k_p 1e308 makes the torque infinite
+    def test_non_finite_torque_rewrites_files_of_an_earlier_run(self, tmp_path, capsys):
+        # the torque at t = 0 is infinite: the row at t = 0 holds it
         out = tmp_path / "run"
-        for k_p in ("1e200", "1e308"):
-            assert main(["simulate", "--t-end", "0.5", "--out", str(out)]) == 0
-            capsys.readouterr()
-            assert main(["simulate", "--kp", k_p, "--t-end", "0.01", "--out", str(out)]) == 1
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == DIVERGED_AT_FIRST_STEP
-            assert len(assert_figures_match_trajectory(out)) == 1  # the row at t = 0
-            manifest = configparser.ConfigParser(interpolation=None)
-            manifest.read(out / "manifest.ini")
-            assert "summary" not in manifest
-            assert manifest["controller"]["k_p"] == repr(float(k_p))
+        assert main(["simulate", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--kp", "1e308", "--t-end", "0.01", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == DIVERGED_AT_FIRST_STEP
+        assert len(assert_figures_match_trajectory(out)) == 1  # the row at t = 0
+        manifest = configparser.ConfigParser(interpolation=None)
+        manifest.read(out / "manifest.ini")
+        assert "summary" not in manifest
+        assert manifest["controller"]["k_p"] == "1e+308"
+
+    def test_overflow_rewrites_files_of_an_earlier_run(self, tmp_path, capsys):
+        # k_p 1e200 takes a stage's omega_a past 1.3e154, where omega_a**2 raises
+        out = tmp_path / "run"
+        assert main(["simulate", "--t-end", "0.5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--kp", "1e200", "--t-end", "0.01", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == DIVERGED_AT_FIRST_STEP
+        assert len(assert_figures_match_trajectory(out)) == 1  # the row at t = 0
+        manifest = configparser.ConfigParser(interpolation=None)
+        manifest.read(out / "manifest.ini")
+        assert "summary" not in manifest
+        assert manifest["controller"]["k_p"] == "1e+200"
 
     def test_interrupt_rewrites_the_manifest_of_an_earlier_run(
         self, tmp_path, leaves_no_child_or_fd, interrupt_at_row,

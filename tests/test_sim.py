@@ -862,21 +862,25 @@ class TestIntegrateToCsv:
         written(expected, cfg, tmp_path / "written")
         assert_same_files(tmp_path / "streamed", tmp_path / "written")
 
-    @pytest.mark.parametrize("failure, overrides", [
-        # diverges after 526 rows, two blocks and 14 rows
+    @pytest.mark.parametrize("raised, overrides", [
+        # the state bound fails after 526 rows, two blocks and 14 rows
         (DivergenceError, dict(dt=5e-4, initial=HoopState(0.0, 0.0, 0.0, 0.0, 300.0))),
-        # the torque at t = 0 is inf: the row at t = 0 only
-        (DivergenceError, dict(initial=HoopState(0.0, 1e308, 0.0, 0.0, 0.0))),
+        # the torque at t = 0 is inf and cos of k3's angle raises: the row at t = 0 only
+        (ValueError, dict(initial=HoopState(0.0, 1e308, 0.0, 0.0, 0.0))),
     ])
     def test_failed_run_writes_the_partial_files_of_write_csv(
-        self, failure, overrides, tmp_path, leaves_no_child_or_fd,
+        self, raised, overrides, tmp_path, leaves_no_child_or_fd,
     ):
+        # either way the run ends in DivergenceError; ``raised`` is what the
+        # loop raised first, the error itself or its cause
         cfg = make_config(t_end=1.0, stride=1, **overrides)
         with leaves_no_child_or_fd():
-            with pytest.raises(failure) as streaming:
+            with pytest.raises(DivergenceError) as streaming:
                 streamed(cfg, tmp_path / "streamed")
-        with pytest.raises(failure) as plain:
+        with pytest.raises(DivergenceError) as plain:
             integrate(cfg)
+        for failure in (streaming.value, plain.value):
+            assert type(failure.__cause__ or failure) is raised
         assert str(streaming.value) == str(plain.value)
         for column in TRAJECTORY_COLUMNS:
             assert bits(getattr(streaming.value.trajectory, column)) == bits(
