@@ -466,9 +466,10 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> int:
     u_rows = np.random.default_rng(args.seed).random((args.count, 3)).tolist()
     sweep_chunk = partial(_sweep_chunk, constants=constants, kappa=kappa, r_const=args.r_const)
     chunks = (u_rows[i:i + certificate.CHUNK] for i in range(0, args.count, certificate.CHUNK))
+    jobs = min(args.jobs, -(-args.count // certificate.CHUNK))  # a worker past the chunks would idle
     # Every chunk is certified before --out is opened, so a failed sweep
     # leaves no file.
-    with _evaluating_certificate(), Pool(args.jobs) if args.jobs > 1 else nullcontext() as pool:
+    with _evaluating_certificate(), Pool(jobs) if jobs > 1 else nullcontext() as pool:
         texts, counts, minima = zip(*(
             pool.imap(sweep_chunk, chunks) if pool else map(sweep_chunk, chunks)
         ))
@@ -556,7 +557,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_sw.add_argument("--count", type=int, default=100)
     p_sw.add_argument("--seed", type=int, default=1)
     p_sw.add_argument("--jobs", type=int, default=1,
-                      help="parallel workers for sweep points")
+                      help="parallel workers, at most one per chunk of 512 points")
     p_sw.add_argument("--out", default="sweep.csv")
     p_sw.set_defaults(func=cmd_sweep)
 

@@ -5,7 +5,8 @@ together with its first two derivatives, which the controller needs to form
 velocity errors (and optionally acceleration feedforward).  Each scenario's
 arithmetic is written once, as source text over a time expression
 (``SAMPLES``): ``make_reference`` compiles it into its callable, once per
-scenario, and ``sim``'s RK4 loop inlines it at each stage time.
+scenario, and ``sim``'s RK4 loop inlines it at each stage time and records
+its ``o_ref``, so the CSV writers need no reference.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ class ReferenceSample(NamedTuple):
 
 
 Reference = Callable[[float], ReferenceSample]
-
-# Builds a sample from a ready tuple, skipping the Python-level __new__ of
-# the named tuple; simulate's writer samples once per row.
-_sample = tuple.__new__
 
 # Per scenario: the parameters it takes, named after the SimConfig fields
 # that hold them, the constants read from them once, and the lines that set
@@ -76,7 +73,7 @@ def _factory(scenario: str) -> Callable:
         f"def factory({', '.join(params)}):\n"
         + indent("cos, sin = math.cos, math.sin\n" + constants, "    ")
         + "    def sample(t):\n" + indent(sample_source(scenario, "t"), " " * 8)
-        + "        return _sample(ReferenceSample, (o_ref, o_dot_ref, o_ddot_ref))\n"
+        + "        return ReferenceSample(o_ref, o_dot_ref, o_ddot_ref)\n"
         + "    return sample\n"
     )
     return define("factory", source, scenario, globals())
@@ -92,8 +89,4 @@ def make_reference(scenario: str, **params: float) -> Reference:
     """
     if scenario not in SAMPLES:
         raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
-    sample = _factory(scenario)(**params)
-    if "{t}" not in SAMPLES[scenario][2]:  # immutable, so one instance serves every t
-        fixed = sample(0.0)
-        return lambda t: fixed
-    return sample
+    return _factory(scenario)(**params)

@@ -56,8 +56,8 @@ DIVERGENCE_LIMIT = 1e6
 CSV_HEADER = "t,theta,o,omega,theta_a,omega_a,o_I,o_e,omega_e,tau_u,energy"
 CSV_COLUMNS = tuple(CSV_HEADER.split(","))
 # Rows per block of the CSV writer.  It bounds the writer's string memory and
-# sizes one pipe message of integrate_to_csv: CSV_CHUNK rows of the
-# CSV_COLUMNS as raw doubles, 22.5 kB.
+# sizes one pipe message of integrate_to_csv: CSV_CHUNK rows of the tables'
+# columns as raw doubles, 24 KiB for simulate's 12.
 CSV_CHUNK = 256
 
 
@@ -123,8 +123,10 @@ class SimConfig:
             raise ValueError(f"record stride must be an integer >= 1, got {self.stride!r}")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
-        if self.hold_dt is not None and not (math.isfinite(self.hold_dt) and self.hold_dt > 0.0):
-            raise ValueError(f"hold_dt must be positive when set, got {self.hold_dt!r}")
+        if self.hold_dt is not None and not (  # the torque holds round(hold_dt / dt) steps
+                self.hold_dt > 0.0 and self.hold_dt / self.dt < math.inf):
+            raise ValueError(f"hold_dt must be positive and cover a finite number of steps when "
+                             f"set, got hold_dt={self.hold_dt!r} at dt={self.dt!r}")
         for name in ("o_ref0", "ramp_v", "sin_amplitude", "sin_rate"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -162,23 +164,24 @@ class Trajectory:
     tau_u: array = dc_field(default_factory=_column)
     tilde_tau_u: array = dc_field(default_factory=_column)
     energy: array = dc_field(default_factory=_column)
+    o_ref: array = dc_field(default_factory=_column)
 
     def __len__(self) -> int:
         return len(self.t)
 
-    def write_csv(self, path, figures=(), reference: Optional[Reference] = None) -> None:
+    def write_csv(self, path, figures=()) -> None:
         """Full-precision CSV export of the fixed column set, LF line ends.
 
         ``figures`` are more tables written in the same pass, each a
-        (path, columns) pair, with the CRLF line ends of ``csv.writer``.  A
-        column is a trajectory column or ``o_ref``, the position of
-        ``reference`` at each t.  Rows go out in blocks of ``CSV_CHUNK``
-        through the formatting loop that ``integrate_to_csv``'s writer
-        process runs as well.
+        (path, columns) pair of trajectory columns, with the CRLF line ends
+        of ``csv.writer``.  Rows go out in blocks of ``CSV_CHUNK`` through
+        the formatting loop that ``integrate_to_csv``'s writer process runs
+        as well.
         """
-        columns = [getattr(self, name) for name in CSV_COLUMNS]
         with ExitStack() as stack:
-            write = _table_writer(_open_tables(stack, path, figures), reference)
+            tables = _open_tables(stack, path, figures)
+            columns = [getattr(self, name) for name in _block_columns(tables)]
+            write = _table_writer(tables)
             for start in range(0, len(self.t), CSV_CHUNK):
                 write([column[start:start + CSV_CHUNK] for column in columns])
 
@@ -194,36 +197,35 @@ def _open_tables(stack: ExitStack, path, figures) -> list:
     ]
 
 
-def _table_writer(tables: list, reference: Optional[Reference]) -> Callable[[list], None]:
+def _block_columns(tables: list) -> list:
+    """The columns ``tables`` name, once each in order of first use: a block's."""
+    return list(dict.fromkeys(name for _, columns, _ in tables for name in columns))
+
+
+def _table_writer(tables: list) -> Callable[[list], None]:
     """Write the header of each open table; returns ``write(block)``, which
     appends one block of rows to every table.
 
-    A block holds, in the order of ``CSV_COLUMNS``, one sequence of floats
-    per column.  Within a block every column that any table needs is turned
-    into text once, by ``repr``, and each table's block is joined from those
-    strings into one string, written at once; an empty block writes nothing.
+    A block holds one sequence of floats per column of ``_block_columns``.
+    Within a block each column is turned into text once, by ``repr``, and
+    each table's block is joined from those strings into one string, written
+    at once; an empty block writes nothing.
     """
-    needed = list(dict.fromkeys(name for _, columns, _ in tables for name in columns))
+    names = _block_columns(tables)
     for fh, columns, end in tables:
         fh.write(",".join(columns) + end)
 
     def write(block: list) -> None:
         if not block[0]:
             return
-        values = dict(zip(CSV_COLUMNS, block))
-        text = {}
-        for name in needed:
-            if name == "o_ref":
-                text[name] = [repr(reference(t).o_ref) for t in values["t"]]
-            else:
-                text[name] = list(map(repr, values[name]))
+        text = {name: list(map(repr, column)) for name, column in zip(names, block)}
         for fh, columns, end in tables:
             fh.write(end.join(map(",".join, zip(*(text[name] for name in columns)))) + end)
 
     return write
 
 
-def _fork_writer(tables: list, reference: Reference) -> tuple:
+def _fork_writer(tables: list) -> tuple:
     """Fork a process that writes the open ``tables`` from blocks sent to it.
 
     Returns ``(send, finish)`` for this process.  ``send(block)`` puts a
@@ -251,8 +253,8 @@ def _fork_writer(tables: list, reference: Reference) -> tuple:
         try:
             os.close(write_fd)
             signal.signal(signal.SIGINT, signal.SIG_IGN)
-            write = _table_writer(tables, reference)
-            width = len(CSV_COLUMNS)
+            write = _table_writer(tables)
+            width = len(_block_columns(tables))
             with open(read_fd, "rb") as pipe:
                 while data := pipe.read(CSV_CHUNK * width * 8):
                     values = array("d", data)
@@ -553,8 +555,8 @@ def integrate(cfg: SimConfig) -> Trajectory:
 
 
 def integrate_to_csv(cfg: SimConfig, path, figures=()) -> Trajectory:
-    """``integrate(cfg)`` that writes ``write_csv(path, figures,
-    cfg.reference())`` of its trajectory as it runs; returns the trajectory.
+    """``integrate(cfg)`` that writes ``write_csv(path, figures)`` of its
+    trajectory as it runs; returns the trajectory.
 
     The tables are opened before the run starts, so an error opening one
     raises before any step.  A forked writer process (``_fork_writer``)
@@ -563,21 +565,22 @@ def integrate_to_csv(cfg: SimConfig, path, figures=()) -> Trajectory:
     doubles at 8 bytes per value as in ``integrate``.  However the run ends,
     normally or by an exception (DivergenceError, KeyboardInterrupt), the
     rows not yet sent follow and the writer is waited for, so the files hold
-    every recorded row, byte for byte what ``write_csv`` writes.  A failed writer raises WriterError.  Without
-    ``os.fork`` the same writer takes the blocks in this process.
+    every recorded row, byte for byte what ``write_csv`` writes.  A failed
+    writer raises WriterError.  Without ``os.fork`` the same writer takes
+    the blocks in this process.
 
     A fork copies only the calling thread, so call this from a process
     that runs no other thread, as ``hooprobot simulate`` does.
     """
     traj = Trajectory()
-    columns = [getattr(traj, name) for name in CSV_COLUMNS]
     sent = 0
     with ExitStack() as stack:
         tables = _open_tables(stack, path, figures)
+        columns = [getattr(traj, name) for name in _block_columns(tables)]
         if hasattr(os, "fork"):
-            send, finish = _fork_writer(tables, cfg.reference())
+            send, finish = _fork_writer(tables)
         else:
-            send, finish = _table_writer(tables, cfg.reference()), lambda: None
+            send, finish = _table_writer(tables), lambda: None
 
         def flush() -> None:
             nonlocal sent
@@ -650,7 +653,8 @@ pe = weight * (o * sin_beta + r_cos_beta) - hang * cos(theta_a + beta)
 _ROW_VALUES = (("t", "t"), ("theta", "theta"), ("o", "o"), ("omega", "omega"),
                ("theta_a", "theta_a"), ("omega_a", "omega_a"), ("o_I", "o_i"),
                ("o_e", "o - o_ref"), ("omega_e", "omega + o_dot_ref / n_r"),
-               ("tau_u", "tau_u"), ("tilde_tau_u", "tilde"), ("energy", "ke + pe"))
+               ("tau_u", "tau_u"), ("tilde_tau_u", "tilde"), ("energy", "ke + pe"),
+               ("o_ref", "o_ref"))
 
 
 def _loop_source(scenario: str, open_loop: bool, feedforward: bool, hold: bool) -> str:

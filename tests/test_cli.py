@@ -345,6 +345,21 @@ class TestSimulateCommand:
         assert captured.err.count("\n") == 1
         assert occupied != "out" or out.read_text() == "keep"
 
+    def test_hold_of_endless_steps_leaves_an_earlier_run(self, tmp_path, capsys):
+        # hold_dt / dt overflows to inf, so the torque would hold for no whole number of steps
+        out = tmp_path / "run"
+        assert main(["simulate", "--t-end", "0.5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        argv = ["simulate", "--dt", "1e-300", "--t-end", "1e-297", "--hold-dt", "1e10"]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("config error: invalid configuration: hold_dt must be "
+                                       "positive and cover a finite number of steps")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_t_end_of_no_step_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["simulate", "--t-end", "0.0005", "--out", str(out)]) == 2
@@ -778,12 +793,45 @@ class TestSweepCommand:
         assert "10 certified" in capsys.readouterr().out
 
     def test_parallel_jobs_match_serial(self, tmp_path):
+        # two chunks, so --jobs 2 runs both workers
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"
-        main(["sweep", "--count", "10", "--seed", "3", "--out", str(serial)])
-        main(["sweep", "--count", "10", "--seed", "3", "--jobs", "2",
+        count = str(certificate.CHUNK + 1)
+        main(["sweep", "--count", count, "--seed", "3", "--out", str(serial)])
+        main(["sweep", "--count", count, "--seed", "3", "--jobs", "2",
               "--out", str(parallel)])
         assert serial.read_bytes() == parallel.read_bytes()
+
+    def test_asks_for_at_most_one_worker_per_chunk(self, monkeypatch, tmp_path):
+        import multiprocessing
+
+        sizes = []
+
+        class InProcessPool:
+            """Runs the chunks here and records the size it was asked for."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def imap(self, func, iterable):
+                return map(func, iterable)
+
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        for count, pools in (("100", []), ("1300", [3])):  # one chunk, then three
+            out = {}
+            for jobs in ("64", "1"):
+                out[jobs] = tmp_path / f"sweep-{count}-{jobs}.csv"
+                assert main(["sweep", "--count", count, "--seed", "3", "--jobs", jobs,
+                             "--out", str(out[jobs])]) == 0
+                assert sizes == pools
+            assert out["64"].read_bytes() == out["1"].read_bytes()
+            sizes.clear()
 
     @pytest.mark.parametrize("flags", [["--count", "0"], ["--count", "-4"],
                                        ["--jobs", "0"], ["--jobs", "-1"]])
@@ -879,9 +927,11 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_overflowing_floor_names_k_p(self, jobs, tmp_path, capsys):
-        # the sampler keeps the check Gains made on k_p
+        # the sampler keeps the check Gains made on k_p; two chunks, so with
+        # --jobs 2 it fails in a worker
         out = tmp_path / "sweep.csv"
-        assert main(["sweep", "--count", "5", "--kappa", "1e154", "--jobs", jobs,
+        count = str(certificate.CHUNK + 1)
+        assert main(["sweep", "--count", count, "--kappa", "1e154", "--jobs", jobs,
                      "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

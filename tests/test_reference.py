@@ -19,7 +19,6 @@ def test_constant_holds_position():
         assert sample.o_ref == -2.5
         assert sample.o_dot_ref == 0.0
         assert sample.o_ddot_ref == 0.0
-    assert ref(0.0) is ref(17.3)  # one immutable sample, built once
 
 
 def test_ramp_values():

@@ -63,6 +63,8 @@ class TestSimConfig:
             make_config(stride=1.5)
         with pytest.raises(ValueError, match="hold_dt"):
             make_config(hold_dt=0.0)
+        with pytest.raises(ValueError, match="hold_dt must be positive and cover a finite"):
+            make_config(dt=1e-300, t_end=1e-297, hold_dt=1e10)  # hold_dt / dt overflows
 
     def test_rejects_t_end_of_no_step_or_endless_steps(self):
         # the run takes round(t_end / dt) steps: 0.5 rounds to none, 0.6 to one
@@ -397,9 +399,7 @@ def modular_integrate(cfg):
         o_e, omega_e, _ = controller.error(s, ref_fn(t), n.r)
         ke, pe = energy(cfg.plant, s)
         for column, value in zip(
-            ("t", "theta", "o", "omega", "theta_a", "omega_a", "o_I", "o_e",
-             "omega_e", "tau_u", "tilde_tau_u", "energy"),
-            (t, *y, o_e, omega_e, *torques, ke + pe),
+            TRAJECTORY_COLUMNS, (t, *y, o_e, omega_e, *torques, ke + pe, ref_fn(t).o_ref),
         ):
             getattr(traj, column).append(value)
 
@@ -435,7 +435,7 @@ def modular_integrate(cfg):
 
 
 TRAJECTORY_COLUMNS = ("t", "theta", "o", "omega", "theta_a", "omega_a", "o_I",
-                      "o_e", "omega_e", "tau_u", "tilde_tau_u", "energy")
+                      "o_e", "omega_e", "tau_u", "tilde_tau_u", "energy", "o_ref")
 DISTURBED = PlantParams(m_h=1.0, i_h=0.021, r=0.18, m_a=3.28, i_a=0.035, l=0.14,
                         beta=math.radians(20.0), delta_s=0.1, delta_a=-0.05)
 ORACLE_CONFIGS = {
@@ -514,6 +514,10 @@ def run_cases(draw):
     )
 
 
+def assert_o_e_is_o_minus_o_ref(traj):
+    assert bits(traj.o_e) == bits([o - o_ref for o, o_ref in zip(traj.o, traj.o_ref)])
+
+
 def run_outcome(run, cfg):
     """The trajectory ``run`` records, with (time, state bits) if it diverged."""
     try:
@@ -556,6 +560,7 @@ class TestClosedLoopStage:
         assert len(fused) == len(modular)
         for column in TRAJECTORY_COLUMNS:
             assert bits(getattr(fused, column)) == bits(getattr(modular, column)), column
+        assert_o_e_is_o_minus_o_ref(fused)
 
     @pytest.mark.parametrize("name", ORACLE_CONFIGS)
     def test_integrate_is_bit_identical_to_modular_loop(self, name):
@@ -577,6 +582,7 @@ class TestClosedLoopStage:
         assert len(a.trajectory) == len(b.trajectory)
         for column in TRAJECTORY_COLUMNS:
             assert bits(getattr(a.trajectory, column)) == bits(getattr(b.trajectory, column))
+        assert_o_e_is_o_minus_o_ref(a.trajectory)
 
 
 class TestSymbolicStage:
@@ -710,11 +716,13 @@ class TestColumnLayout:
                 assert type(values) is array and values.typecode == "d", (name, column)
 
     def test_a_dense_run_holds_about_8_bytes_per_value(self):
-        # 12 columns of 8-byte doubles.  An array grows its buffer by about
-        # 1/16 of its length, so 1.5 times the values covers its spare room;
-        # the fixed 64 KiB covers the Trajectory and array objects, the
-        # loop's frame and the few floats alive within a step.  Columns as
-        # lists would hold an 8-byte slot and a 24-byte float per value.
+        # 13 columns of 8-byte doubles, 104 bytes a row.  An array grows its
+        # buffer by about 1/16 of its length, so with the spare room a row
+        # takes up to about 111 bytes (107 on CPython 3.11), under the 144
+        # allowed (12 * 8 * 1.5); the fixed 64 KiB covers the Trajectory and
+        # array objects, the loop's frame and the few floats alive in a step.
+        # Columns as lists would hold an 8-byte slot and a 24-byte float per
+        # value, 416 bytes a row.
         cfg = make_config(t_end=5.0, stride=1)
         integrate(replace(cfg, t_end=0.01))  # compiles the loop before the measurement
         tracemalloc.start()
@@ -740,7 +748,7 @@ def parent_write_csv(traj, path):
             fh.write(",".join(repr(v) for v in row) + "\n")
 
 
-def parent_write_figures(out_dir, traj, ref_fn):
+def parent_write_figures(out_dir, traj):
     """The csv.writer figure loop the one-pass writer replaced."""
     def dump(name, header, rows):
         with open(out_dir / name, "w", encoding="utf-8", newline="") as fh:
@@ -751,7 +759,7 @@ def parent_write_figures(out_dir, traj, ref_fn):
 
     dump(
         "fig_position.csv", ["t", "o", "o_ref"],
-        ((t, o, ref_fn(t).o_ref) for t, o in zip(traj.t, traj.o)),
+        zip(traj.t, traj.o, traj.o_ref),
     )
     dump("fig_tracking_error.csv", ["t", "o_e"], zip(traj.t, traj.o_e))
     dump("fig_velocity_error.csv", ["t", "omega_e"], zip(traj.t, traj.omega_e))
@@ -776,20 +784,24 @@ REFERENCES = {
 }
 
 
+def following(traj, reference):
+    """``traj`` with the o_ref column of ``reference`` sampled at its times."""
+    return replace(traj, o_ref=array("d", (reference(t).o_ref for t in traj.t)))
+
+
 class TestOnePassWriter:
     """``write_csv`` with the figure tables equals the two writers it replaced."""
 
-    def assert_matches_parent(self, traj, reference, tmp_path):
+    def assert_matches_parent(self, traj, tmp_path, oracle=None):
+        """The files of ``traj`` equal those the replaced writers write of
+        ``oracle``, by default ``traj`` itself."""
+        oracle = traj if oracle is None else oracle
         new, old = tmp_path / "new", tmp_path / "old"
         new.mkdir()
         old.mkdir()
-        traj.write_csv(
-            new / "trajectory.csv",
-            [(new / name, columns) for name, columns in FIGURES],
-            reference,
-        )
-        parent_write_csv(traj, old / "trajectory.csv")
-        parent_write_figures(old, traj, reference)
+        traj.write_csv(new / "trajectory.csv", [(new / name, columns) for name, columns in FIGURES])
+        parent_write_csv(oracle, old / "trajectory.csv")
+        parent_write_figures(old, oracle)
         names = ["trajectory.csv", *(name for name, _ in FIGURES)]
         assert sorted(p.name for p in new.iterdir()) == sorted(names)
         for name in names:
@@ -798,7 +810,8 @@ class TestOnePassWriter:
     @pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1])
     @pytest.mark.parametrize("scenario", ["ramp", "sinusoid"])
     def test_bytes_equal_at_block_edges(self, rows, scenario, tmp_path):
-        self.assert_matches_parent(synthetic_trajectory(rows), REFERENCES[scenario], tmp_path)
+        self.assert_matches_parent(following(synthetic_trajectory(rows), REFERENCES[scenario]),
+                                   tmp_path)
 
     @pytest.mark.parametrize("scenario", ["fixed_point", "ramp"])
     def test_bytes_equal_on_extreme_floats(self, scenario, tmp_path):
@@ -807,11 +820,20 @@ class TestOnePassWriter:
         for i in range(2 * len(specials)):
             for k, column in enumerate(TRAJECTORY_COLUMNS):
                 getattr(traj, column).append(specials[(i + k) % len(specials)])
-        self.assert_matches_parent(traj, REFERENCES[scenario], tmp_path)
+        self.assert_matches_parent(following(traj, REFERENCES[scenario]), tmp_path)
 
-    def test_bytes_equal_on_integrated_run(self, tmp_path):
-        cfg = make_config(scenario="sinusoid", o_ref0=0.4, feedforward=True, t_end=1.0, stride=1)
-        self.assert_matches_parent(integrate(cfg), cfg.reference(), tmp_path)
+    @pytest.mark.parametrize("run", [
+        dict(scenario="fixed_point", stride=1),
+        dict(scenario="ramp", ramp_v=0.25, stride=1),
+        dict(scenario="sinusoid", feedforward=True, stride=1),
+        dict(scenario="ramp", hold_dt=0.007, stride=3),
+        dict(scenario="sinusoid", open_loop=True, stride=1),
+    ], ids=["fixed_point", "ramp", "sinusoid", "hold", "open_loop"])
+    def test_bytes_equal_on_integrated_run(self, run, tmp_path):
+        # the replaced writers sampled the reference at each row; the loop records it
+        cfg = make_config(o_ref0=0.4, t_end=1.0, **run)
+        traj = integrate(cfg)
+        self.assert_matches_parent(traj, tmp_path, oracle=following(traj, cfg.reference()))
 
 
 def streamed(cfg, out):
@@ -822,14 +844,11 @@ def streamed(cfg, out):
     )
 
 
-def written(traj, cfg, out):
+def written(traj, out):
     """``write_csv`` of ``traj`` into a new directory ``out``, as ``simulate`` did
     before it streamed its rows to a writer process."""
     out.mkdir()
-    traj.write_csv(
-        out / "trajectory.csv", [(out / name, columns) for name, columns in FIGURES],
-        cfg.reference(),
-    )
+    traj.write_csv(out / "trajectory.csv", [(out / name, columns) for name, columns in FIGURES])
 
 
 def assert_same_files(a, b):
@@ -859,7 +878,7 @@ class TestIntegrateToCsv:
         expected = integrate(cfg)
         for column in TRAJECTORY_COLUMNS:
             assert bits(getattr(traj, column)) == bits(getattr(expected, column)), column
-        written(expected, cfg, tmp_path / "written")
+        written(expected, tmp_path / "written")
         assert_same_files(tmp_path / "streamed", tmp_path / "written")
 
     @pytest.mark.parametrize("raised, overrides", [
@@ -885,7 +904,7 @@ class TestIntegrateToCsv:
         for column in TRAJECTORY_COLUMNS:
             assert bits(getattr(streaming.value.trajectory, column)) == bits(
                 getattr(plain.value.trajectory, column)), column
-        written(plain.value.trajectory, cfg, tmp_path / "written")
+        written(plain.value.trajectory, tmp_path / "written")
         assert_same_files(tmp_path / "streamed", tmp_path / "written")
 
     def test_interrupt_writes_the_rows_recorded_before_it(
@@ -901,7 +920,7 @@ class TestIntegrateToCsv:
         assert rows == 300  # a whole block and 44 rows
         full = integrate(cfg)
         head = Trajectory(**{column: getattr(full, column)[:rows] for column in TRAJECTORY_COLUMNS})
-        written(head, cfg, tmp_path / "written")
+        written(head, tmp_path / "written")
         assert_same_files(tmp_path / "streamed", tmp_path / "written")
 
     def test_without_fork_the_same_writer_runs_in_this_process(
@@ -911,5 +930,5 @@ class TestIntegrateToCsv:
         cfg = make_config(scenario="sinusoid", feedforward=True, stride=7, t_end=1.8)
         with leaves_no_child_or_fd():
             streamed(cfg, tmp_path / "streamed")
-        written(integrate(cfg), cfg, tmp_path / "written")
+        written(integrate(cfg), tmp_path / "written")
         assert_same_files(tmp_path / "streamed", tmp_path / "written")
