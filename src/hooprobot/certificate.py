@@ -5,13 +5,15 @@ inequalities (an upper bound on the integral gain, a lower bound on the
 proportional gain) plus a pair of 3x3 matrices: P_s bounding the Lyapunov
 function from below and Q_s bounding its decay rate.  This module evaluates
 all of them numerically for a concrete parameter set so a gain choice can be
-audited before running anything.  One assembly builds the audit rows and
-the stacked P_s/Q_s eigenvalues, with two batch entries: ``certify_chunk``
-audits given triples (``check_gains`` wraps its row of one triple into a
+audited before running anything.  One assembly audits a chunk of triples
+as numpy columns, with two batch entries: ``certify_chunk`` audits given
+triples (``check_gains`` wraps its audit of one triple into a
 ``CertificateReport``, ``check-gains --sweep`` tabulates its chunks), and
 ``certify_sample`` samples and audits ``sweep``'s triples in one pass.  All
-take the believed plant as one ``DerivedConstants``.  ``lyapunov_matrices``
-is the per-matrix reference for the stacked eigenvalues.
+take the believed plant as one ``DerivedConstants``.  The threshold, bound
+and matrix-entry formulas are written once, in float arithmetic, and run on
+floats (``gain_thresholds`` and ``lyapunov_matrices`` are the per-triple
+references) and on columns (``_column``), bit for bit alike.
 
 Caveat recorded here because it is easy to trip over: the positive
 definiteness of P_s under the stated gain conditions is an asymptotic claim.
@@ -27,9 +29,10 @@ numpy, so ``simulate`` starts without paying for its import.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .controller import Gains
 from .regularizer import NominalParams
@@ -84,13 +87,14 @@ def kappa_mid(constants: DerivedConstants) -> float:
 def gain_thresholds(
     k_d: float, k_i: float, kappa: float, r_const: float
 ) -> tuple[float, float, float]:
-    """The two proportional-gain thresholds and their max with 2*kappa*k_d^2."""
+    """The two proportional-gain thresholds and their max with 2*kappa*k_d^2,
+    of floats or of columns (``_column``) k_d and k_i."""
     k_1 = (k_i / (2.0 * k_d)) * (
-        math.sqrt(1.0 + 16.0 * r_const * kappa**2 * k_d**2 / k_i) - 1.0
+        _sqrt(1.0 + 16.0 * r_const * kappa**2 * k_d**2 / k_i) - 1.0
     )
     k_2 = (r_const * k_i**2 / (2.0 * k_d**4)) * (
         1.0
-        + math.sqrt(
+        + _sqrt(
             1.0
             + 4.0
             * k_d**3
@@ -98,16 +102,11 @@ def gain_thresholds(
             / (r_const * k_i**3)
         )
     )
-    return k_1, k_2, max(k_1, k_2, 2.0 * kappa * k_d**2)
+    return k_1, k_2, _max(k_1, k_2, 2.0 * kappa * k_d**2)
 
 
-def admissible_gain_sample(
-    count: int,
-    seed: int,
-    constants: DerivedConstants,
-    kappa: float,
-    r_const: float = 1.0,
-) -> list[Gains]:
+def admissible_gain_sample(count: int, seed: int, constants: DerivedConstants, kappa: float,
+                           r_const: float = 1.0) -> list[Gains]:
     """Seeded gain triples constructed to satisfy both gain conditions.
 
     k_d is drawn uniformly from [1, 10), k_i as a fraction in [0.05, 0.9) of
@@ -122,28 +121,10 @@ def admissible_gain_sample(
     # One draw of the whole (count, 3) block consumes the generator in the
     # same order as per-triple scalar uniform(k_d), uniform(fraction),
     # uniform(margin) calls.
-    u_rows = np.random.default_rng(seed).random((count, 3)).tolist()
-    return [Gains(k_p=k_p, k_d=k_d, k_i=k_i)
-            for k_p, k_d, k_i, *_ in _admissible_audits(u_rows, constants, kappa, r_const)]
-
-
-def _admissible_audits(u_rows: Iterable[Sequence[float]], constants: DerivedConstants,
-                       kappa: float, r_const: float) -> Iterator[tuple[float, ...]]:
-    """Per row (u_d, u_f, u_m) of uniforms the sampled triple and its audit
-    inputs (k_p, k_d, k_i, k_i_upper, k_1, k_2, k_p_floor).  low + (high - low)
-    * u is the arithmetic Generator.uniform applies, with each span high - low
-    exactly, so the triples are bit-identical to per-triple uniform draws; k_p
-    is checked as ``Gains`` checks it."""
-    delta, mu = constants.delta, constants.mu
-    for u_d, u_f, u_m in u_rows:
-        k_d = 1.0 + 9.0 * u_d
-        k_i_upper = _k_i_upper(k_d, delta, mu)
-        k_i = (0.05 + 0.85 * u_f) * k_i_upper
-        k_1, k_2, floor = gain_thresholds(k_d, k_i, kappa, r_const)
-        k_p = (1.05 + 1.95 * u_m) * floor
-        if not (math.isfinite(k_p) and k_p > 0.0):
-            raise ValueError(f"k_p must be finite and positive, got {k_p!r}")
-        yield k_p, k_d, k_i, k_i_upper, k_1, k_2, floor
+    audit = certify_sample(np.random.default_rng(seed).random((count, 3)), constants, kappa,
+                           r_const)
+    return [Gains(k_p=p, k_d=d, k_i=i) for p, d, i in zip(
+        *(audit[name].tolist() for name in ("k_p", "k_d", "k_i")))]
 
 
 @dataclass(frozen=True)
@@ -197,12 +178,8 @@ def _k_i_upper(k_d: float, delta: float, mu: float) -> float:
     return k_d**3 * (1.0 - delta**2) / mu
 
 
-def check_gains(
-    g: Gains,
-    constants: DerivedConstants,
-    kappa: float,
-    r_const: float = 1.0,
-) -> CertificateReport:
+def check_gains(g: Gains, constants: DerivedConstants, kappa: float,
+                r_const: float = 1.0) -> CertificateReport:
     """Evaluate the two gain inequalities and the Lyapunov matrices, and
     report margins, flags and eigenvalues.
 
@@ -210,19 +187,14 @@ def check_gains(
     general theory, not the hoop radius; it is exposed as ``r_const``
     (default 1).
     """
-    (row,), p_eigs, q_eigs = certify_chunk([g], constants, kappa, r_const)
-    (p_row,), (q_row,) = p_eigs.tolist(), q_eigs.tolist()
-    return CertificateReport(*row, tuple(p_row), tuple(q_row), p_row[0] > 0.0, q_row[0] > 0.0)
+    audit = certify_chunk(g.k_p, g.k_d, g.k_i, constants, kappa, r_const)
+    report = {name: column[0].tolist() for name, column in audit.items()}
+    return CertificateReport(**{name: tuple(v) if isinstance(v, list) else v  # the eigenvalues
+                                for name, v in report.items()})
 
 
-def proof_matrices(
-    g: Gains,
-    alpha: Optional[float],
-    kappa: float,
-    theta_bound: float,
-    mu_min: float,
-    mu_max: float,
-) -> tuple[np.ndarray, np.ndarray]:
+def proof_matrices(g: Gains, alpha: Optional[float], kappa: float, theta_bound: float,
+                   mu_min: float, mu_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Assemble the symmetric bound matrices P_s and Q_s.
 
     The free parameters are the choices that make the argument work:
@@ -238,9 +210,8 @@ def proof_matrices(
         raise ValueError(f"need 0 < mu_min <= mu_max, got {mu_min!r}, {mu_max!r}")
     if not (math.isfinite(theta_bound) and theta_bound > 0.0):
         raise ValueError(f"theta_bound must be positive, got {theta_bound!r}")
-    p, q = _bound_entries(
-        g.k_p, g.k_d, g.k_i, alpha, kappa, theta_bound, 1.0 - mu_min / mu_max, mu_max,
-    )
+    p, q = _bound_entries(g.k_p, g.k_d, g.k_i, alpha, kappa, theta_bound,
+                          1.0 - mu_min / mu_max, mu_max)
     p_s, q_s = np.array(p).reshape(3, 3), np.array(q).reshape(3, 3)
     _check_finite(p_s, q_s)
     return p_s, q_s
@@ -263,21 +234,12 @@ def _weights(
     return alpha, k_i / k_d, 2.0 * kappa * k_i, k_i * (alpha * k_d + k_p) / k_d
 
 
-def _bound_entries(
-    k_p: float,
-    k_d: float,
-    k_i: float,
-    alpha: Optional[float],
-    kappa: float,
-    theta_bound: float,
-    delta: float,
-    mu_max: float,
-) -> tuple[list[float], list[float]]:
-    """Entries of P_s and Q_s, row by row, in Python floats; ``delta`` is 1 - mu_min/mu_max.
+def _bound_entries(k_p: float, k_d: float, k_i: float, alpha: Optional[float], kappa: float,
+                   theta_bound: float, delta: float, mu_max: float) -> tuple[list, list]:
+    """Entries of P_s and Q_s, row by row; ``delta`` is 1 - mu_min/mu_max.
 
-    The entries stay scalar float arithmetic: numpy's array power differs
-    from Python's ``**`` in the last ulp for some k_d, which would move the
-    eigenvalues.
+    Of floats, or of columns (``_column``), where the constant entries stand
+    for columns of equal values.
     """
     alpha, beta, sigma, gamma = _weights(k_p, k_d, k_i, alpha, kappa)
     p = [
@@ -308,73 +270,132 @@ def lyapunov_matrices(g: Gains, constants: DerivedConstants, kappa: float) -> Ly
     import numpy as np
 
     p_s, q_s = proof_matrices(g, None, kappa, 1.0, constants.i_min, constants.i_max)
-    p_eigs = np.linalg.eigvalsh(p_s)
-    q_eigs = np.linalg.eigvalsh(q_s)
-    return LyapunovEigs(
-        p_eigenvalues=p_eigs,
-        q_eigenvalues=q_eigs,
-        p_positive_definite=bool(p_eigs[0] > 0.0),
-        q_positive_definite=bool(q_eigs[0] > 0.0),
-    )
+    p_eigs, q_eigs = np.linalg.eigvalsh(p_s), np.linalg.eigvalsh(q_s)
+    return LyapunovEigs(p_eigs, q_eigs, bool(p_eigs[0] > 0.0), bool(q_eigs[0] > 0.0))
 
 
-# Triples per stacked eigvalsh call of a chunked audit: large enough that numpy's
-# per-call overhead is spread thin, small enough that one chunk's entry lists
-# and (n, 3, 3) stacks stay small next to the triples of a long sweep.
+# Triples per chunk of a batch audit, one pass over numpy columns: large enough
+# that numpy's per-call overhead is spread thin, small enough that one chunk's
+# columns and (n, 3, 3) stacks stay small next to the triples of a long sweep.
 CHUNK = 512
 
 
-def certify_chunk(
-    triples: Sequence[Gains],
-    constants: DerivedConstants,
-    kappa: float,
-    r_const: float,
-) -> tuple[list[tuple], np.ndarray, np.ndarray]:
-    """Per triple the ``CertificateReport`` fields k_p .. passed, and the
-    eigenvalues of P_s and of Q_s as (n, 3) arrays: one stacked ``eigvalsh``
-    call per matrix, bit for bit ``lyapunov_matrices``' one call per matrix.
-    Takes any number of triples, none too; a row does not depend on the others.
-    """
-    delta, mu = constants.delta, constants.mu
-    return _certify_audits(((g.k_p, g.k_d, g.k_i, _k_i_upper(g.k_d, delta, mu),
-                             *gain_thresholds(g.k_d, g.k_i, kappa, r_const)) for g in triples),
-                           constants, kappa, r_const)
-
-
-def certify_sample(u_rows: Sequence[Sequence[float]], constants: DerivedConstants,
-                   kappa: float, r_const: float) -> tuple[list[tuple], np.ndarray, np.ndarray]:
-    """``certify_chunk`` of the triples that ``admissible_gain_sample`` makes
-    from these rows of uniforms, in one pass: no ``Gains``, thresholds once."""
-    return _certify_audits(_admissible_audits(u_rows, constants, kappa, r_const),
-                           constants, kappa, r_const)
-
-
-def _certify_audits(audits: Iterable[tuple[float, ...]], constants: DerivedConstants,
-                    kappa: float, r_const: float) -> tuple[list[tuple], np.ndarray, np.ndarray]:
-    """Both batch audits from per-triple (k_p, k_d, k_i, k_i_upper, k_1, k_2,
-    k_p_floor), consumed only after r_const is checked."""
+def certify_chunk(k_p, k_d, k_i, constants: DerivedConstants, kappa: float,
+                  r_const: float) -> dict:
+    """The audit of the triples of columns k_p, k_d and k_i, valid gains (a
+    float stands for a column of equal values): the ``CertificateReport``
+    fields by name, each a column, the eigenvalues (n, 3) from one stacked
+    ``eigvalsh`` call per matrix, bit for bit ``lyapunov_matrices``' one call
+    per matrix.  Takes any number of triples, none too."""
     import numpy as np
 
     check_r_const(r_const)
-    delta, mu, i_max = constants.delta, constants.mu, constants.i_max
+    triple = _column(np.empty((3, np.broadcast(k_p, k_d, k_i).size)))
+    triple[0], triple[1], triple[2] = k_p, k_d, k_i  # a float fills its column
+    k_p, k_d, k_i = triple
+    with np.errstate(all="ignore"):
+        return _certify(k_p, k_d, k_i, _k_i_upper(k_d, constants.delta, constants.mu),
+                        *gain_thresholds(k_d, k_i, kappa, r_const), constants, kappa, r_const)
+
+
+def certify_sample(u: np.ndarray, constants: DerivedConstants, kappa: float,
+                   r_const: float) -> dict:
+    """``certify_chunk``'s audit of the triples ``admissible_gain_sample``
+    describes, drawn from this (n, 3) block of uniforms (u_d, u_f, u_m), in
+    one pass: thresholds once.  low + (high - low) * u is Generator.uniform's
+    arithmetic, each span exact, so the triples are bit-identical to
+    per-triple uniform draws; k_p is checked as ``Gains`` checks it."""
+    import numpy as np
+
+    check_r_const(r_const)
+    u_d, u_f, u_m = _column(u).T
+    with np.errstate(all="ignore"):
+        k_d = 1.0 + 9.0 * u_d
+        k_i_upper = _k_i_upper(k_d, constants.delta, constants.mu)
+        k_i = (0.05 + 0.85 * u_f) * k_i_upper
+        k_1, k_2, floor = gain_thresholds(k_d, k_i, kappa, r_const)
+        k_p = (1.05 + 1.95 * u_m) * floor
+        bad = ~(np.isfinite(k_p) & (k_p > 0.0))
+        if bad.any():
+            raise ValueError(f"k_p must be finite and positive, got {k_p[bad][0].item()!r}")
+        return _certify(k_p, k_d, k_i, k_i_upper, k_1, k_2, floor, constants, kappa, r_const)
+
+
+def _certify(k_p, k_d, k_i, k_i_upper, k_1, k_2, k_p_floor, constants: DerivedConstants,
+             kappa: float, r_const: float) -> dict:
+    """``certify_chunk``'s audit from the columns of its triples and thresholds."""
+    import numpy as np
+
     lo, hi = constants.kappa_range
     kappa_ok = lo < kappa < hi
-    rows, p_flat, q_flat = [], [], []
-    for k_p, k_d, k_i, k_i_upper, k_1, k_2, k_p_floor in audits:
-        k_i_ok = 0.0 < k_i < k_i_upper
-        k_p_ok = k_p > k_p_floor
-        rows.append((
-            k_p, k_d, k_i, delta, mu, kappa, r_const,
-            k_i_upper, k_1, k_2, k_p_floor, k_i_upper - k_i, k_p - k_p_floor,
-            kappa_ok, k_i_ok, k_p_ok, kappa_ok and k_i_ok and k_p_ok,
-        ))
-        p, q = _bound_entries(k_p, k_d, k_i, None, kappa, 1.0, delta, i_max)
-        p_flat += p
-        q_flat += q
-    p_s = np.array(p_flat).reshape(-1, 3, 3)
-    q_s = np.array(q_flat).reshape(-1, 3, 3)
+    k_i_ok = (0.0 < k_i) & (k_i < k_i_upper)
+    k_p_ok = k_p > k_p_floor
+    stacks = np.empty((2, len(k_p), 9))  # P_s and Q_s, entry by entry
+    for stack, entries in zip(stacks, _bound_entries(k_p, k_d, k_i, None, kappa, 1.0,
+                                                     constants.delta, constants.i_max)):
+        for j, entry in enumerate(entries):
+            stack[:, j] = entry
+    p_s, q_s = stacks.reshape(2, -1, 3, 3)
     _check_finite(p_s, q_s)
-    return rows, np.linalg.eigvalsh(p_s), np.linalg.eigvalsh(q_s)
+    p_eigs, q_eigs = np.linalg.eigvalsh(p_s), np.linalg.eigvalsh(q_s)
+    shared = functools.partial(np.full, len(k_p))  # one value for the chunk
+    return dict(
+        k_p=k_p, k_d=k_d, k_i=k_i, delta=shared(constants.delta), mu=shared(constants.mu),
+        kappa=shared(kappa), r_const=shared(r_const), k_i_upper=k_i_upper, k_1=k_1, k_2=k_2,
+        k_p_floor=k_p_floor, k_i_margin=k_i_upper - k_i, k_p_margin=k_p - k_p_floor,
+        kappa_ok=shared(kappa_ok), k_i_ok=k_i_ok, k_p_ok=k_p_ok, passed=kappa_ok & k_i_ok & k_p_ok,
+        p_eigenvalues=p_eigs, q_eigenvalues=q_eigs,
+        p_positive_definite=p_eigs[:, 0] > 0.0, q_positive_definite=q_eigs[:, 0] > 0.0,
+    )
+
+
+def _sqrt(x):
+    """``math.sqrt`` of a float, or ``Column.sqrt`` of a column."""
+    return math.sqrt(x) if isinstance(x, float) else x.sqrt()
+
+
+def _max(first, *rest):
+    """``max`` of floats, or ``Column.greatest`` of columns."""
+    return max(first, *rest) if isinstance(first, float) else first.greatest(*rest)
+
+
+def _column(values) -> np.ndarray:
+    """``values`` as a float64 column on which this module's float formulas run."""
+    import numpy as np
+
+    return np.asarray(values, dtype=float).view(_column_type())
+
+
+@functools.cache
+def _column_type() -> type:
+    import numpy as np
+
+    class Column(np.ndarray):
+        """Elementwise numpy in the float path's order of operations, except
+        that ``**`` is Python's (libm pow) on each value: numpy's array power
+        differs from it in the last ulp for some k_d.  A division by zero or
+        the square root of a negative raises the float path's error."""
+
+        def __pow__(self, exponent):
+            return _column([value**exponent for value in self.tolist()])
+
+        def __truediv__(self, divisor):
+            if np.count_nonzero(divisor == 0.0):
+                1.0 / 0.0  # raises the float path's ZeroDivisionError, message and all
+            return np.true_divide(self, divisor)
+
+        def sqrt(self):
+            for value in self[self < 0.0][:1].tolist():
+                math.sqrt(value)  # raises the float path's ValueError
+            return np.sqrt(self)
+
+        def greatest(self, *others):  # as in max, a later value wins only where greater
+            top = self
+            for other in others:
+                top = np.where(other > top, other, top).view(Column)
+            return top
+
+    return Column
 
 
 class MonitorResult(NamedTuple):

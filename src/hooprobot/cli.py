@@ -354,15 +354,6 @@ def _evaluating_certificate():
         raise ConfigError(f"certificate undefined at these flags: {exc}") from exc
 
 
-def _table_columns(rows: list[tuple], p_eigs, q_eigs) -> tuple:
-    """k_p, k_d, k_i, k_i_margin, k_p_margin, lambda_min(P_s), lambda_min(Q_s)
-    and passed of a batch audit: the columns of both gain tables."""
-    # a row holds the CertificateReport fields k_p .. passed
-    k_p, k_d, k_i, *_, k_i_margin, k_p_margin, _, _, _, passed = zip(*rows)
-    lambda_p, lambda_q = p_eigs[:, 0].tolist(), q_eigs[:, 0].tolist()
-    return k_p, k_d, k_i, k_i_margin, k_p_margin, lambda_p, lambda_q, passed
-
-
 def cmd_check_gains(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> int:
     gains, constants, kappa = _certificate_inputs(cfg, args)
 
@@ -396,20 +387,23 @@ def cmd_check_gains(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) ->
                 )
             count += 1
             value += step
+        import numpy as np  # imported here: simulate starts without numpy
+
         # the header goes out with the first certified chunk, or alone
         value, header = start, f"{name}\tk_i_margin\tk_p_margin\tlambda_min_P\tpassed\n"
+        triple = {"k_p": gains.k_p, "k_d": gains.k_d, "k_i": gains.k_i}
         for first in range(0, count, certificate.CHUNK):
-            values = []
-            for _ in range(min(certificate.CHUNK, count - first)):
-                values.append(value)
-                value += step
-            candidates = [replace(gains, **{field: v}) for v in values]
+            steps = np.full(min(certificate.CHUNK, count - first), step)
+            steps[0] = value
+            triple[field] = np.cumsum(steps)  # adds one step at a time, as counted
+            value = triple[field][-1].item() + step
             with _evaluating_certificate():
-                *_, k_i_margin, k_p_margin, lambda_p, _, passed = _table_columns(
-                    *certificate.certify_chunk(candidates, constants, kappa, args.r_const))
+                audit = certificate.certify_chunk(**triple, constants=constants, kappa=kappa,
+                                                  r_const=args.r_const)
             sys.stdout.write(header + "".join(map(
-                "{:g}\t{:.6g}\t{:.6g}\t{:.6g}\t{}\n".format,
-                values, k_i_margin, k_p_margin, lambda_p, passed)))
+                "{:g}\t{:.6g}\t{:.6g}\t{:.6g}\t{}\n".format, triple[field].tolist(),
+                audit["k_i_margin"].tolist(), audit["k_p_margin"].tolist(),
+                audit["p_eigenvalues"][:, 0].tolist(), audit["passed"].tolist())))
             header = ""
         sys.stdout.write(header)
         return 0
@@ -437,19 +431,18 @@ def cmd_equilibrium(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) ->
     return 0
 
 
-def _sweep_chunk(u_rows: list[list[float]], constants: certificate.DerivedConstants,
+def _sweep_chunk(u, constants: certificate.DerivedConstants,
                  kappa: float, r_const: float) -> tuple[str, int, float]:
-    """The CSV lines of the triples these rows of uniforms give, their certified
+    """CSV lines of the triples this (n, 3) block of uniforms gives, their certified
     count and least lambda_min(P_s); ``--jobs N`` workers send back this text."""
-    audit = certificate.certify_sample(u_rows, constants, kappa, r_const)
-    *floats, passed = _table_columns(*audit)
-    lambda_p = floats[5]
-    certified = [ok and lam > 0.0 for ok, lam in zip(passed, lambda_p)]
-    text = "".join(map(
-        "{},{},{},{},{},{},{},{}\r\n".format,
-        *(map(repr, column) for column in floats), certified,
-    ))
-    return text, sum(certified), min(lambda_p)
+    audit = certificate.certify_sample(u, constants, kappa, r_const)
+    lambda_p = audit["p_eigenvalues"][:, 0].tolist()
+    certified = audit["passed"] & audit["p_positive_definite"]
+    columns = [audit[name].tolist() for name in ("k_p", "k_d", "k_i", "k_i_margin", "k_p_margin")]
+    columns += [lambda_p, audit["q_eigenvalues"][:, 0].tolist()]
+    text = "\r\n".join(map(",".join, zip(*(map(repr, column) for column in columns),
+                                         map(str, certified.tolist()))))
+    return text + "\r\n", int(certified.sum()), min(lambda_p)
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> int:
@@ -463,9 +456,9 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> int:
     import numpy as np  # imported here: simulate starts without numpy
     from multiprocessing import Pool  # imported here: no other command needs it
 
-    u_rows = np.random.default_rng(args.seed).random((args.count, 3)).tolist()
+    u = np.random.default_rng(args.seed).random((args.count, 3))
     sweep_chunk = partial(_sweep_chunk, constants=constants, kappa=kappa, r_const=args.r_const)
-    chunks = (u_rows[i:i + certificate.CHUNK] for i in range(0, args.count, certificate.CHUNK))
+    chunks = (u[i:i + certificate.CHUNK] for i in range(0, args.count, certificate.CHUNK))
     jobs = min(args.jobs, -(-args.count // certificate.CHUNK))  # a worker past the chunks would idle
     # Every chunk is certified before --out is opened, so a failed sweep
     # leaves no file.

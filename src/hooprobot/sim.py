@@ -179,22 +179,24 @@ class Trajectory:
         as well.
         """
         with ExitStack() as stack:
-            tables = _open_tables(stack, path, figures)
-            columns = [getattr(self, name) for name in _block_columns(tables)]
+            tables, columns = _open_tables(stack, path, figures, self)
             write = _table_writer(tables)
             for start in range(0, len(self.t), CSV_CHUNK):
                 write([column[start:start + CSV_CHUNK] for column in columns])
 
 
-def _open_tables(stack: ExitStack, path, figures) -> list:
+def _open_tables(stack: ExitStack, path, figures, traj: "Trajectory") -> tuple[list, list]:
     """Open the tables of ``Trajectory.write_csv`` on ``stack``; returns
-    (file, columns, line end) triples, the trajectory table first."""
+    (file, columns, line end) triples, the trajectory table first, and the
+    columns of ``traj`` a block holds, looked up first: a name ``traj`` lacks
+    raises before any file is opened, so it truncates none."""
     tables = [(path, CSV_COLUMNS, "\n")]
     tables += [(target, columns, "\r\n") for target, columns in figures]
+    block = [getattr(traj, name) for name in _block_columns(tables)]
     return [
         (stack.enter_context(open(target, "w", encoding="utf-8", newline="")), columns, end)
         for target, columns, end in tables
-    ]
+    ], block
 
 
 def _block_columns(tables: list) -> list:
@@ -575,8 +577,7 @@ def integrate_to_csv(cfg: SimConfig, path, figures=()) -> Trajectory:
     traj = Trajectory()
     sent = 0
     with ExitStack() as stack:
-        tables = _open_tables(stack, path, figures)
-        columns = [getattr(traj, name) for name in _block_columns(tables)]
+        tables, columns = _open_tables(stack, path, figures, traj)
         if hasattr(os, "fork"):
             send, finish = _fork_writer(tables)
         else:

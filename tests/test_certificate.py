@@ -1,6 +1,7 @@
 """Gain conditions, Lyapunov bound matrices and the trajectory monitor."""
 import math
 import random
+import warnings
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from hooprobot.certificate import (
     CHUNK,
     CertificateReport,
+    _k_i_upper,
     admissible_gain_sample,
     certify_chunk,
     certify_sample,
@@ -248,6 +250,19 @@ def hexed(value):
     return type(value).__name__, value
 
 
+def audit_row(audit, k):
+    """Triple k of a batch audit as ``check_gains`` reports it: Python floats
+    and bools, the eigenvalues as tuples."""
+    row = {name: column[k].tolist() for name, column in audit.items()}
+    return {name: tuple(v) if isinstance(v, list) else v for name, v in row.items()}
+
+
+def chunk_of(triples, *args):
+    """``certify_chunk`` of a list of ``Gains``."""
+    return certify_chunk(*([getattr(g, name) for g in triples] for name in ("k_p", "k_d", "k_i")),
+                         *args)
+
+
 class TestSamplerStream:
     @pytest.mark.parametrize("options", [{}, {"r_const": 0.3}, {"r_const": 4.0}])
     @pytest.mark.parametrize("seed", [0, 7, 2026, 2**40 + 3])
@@ -258,6 +273,50 @@ class TestSamplerStream:
         want = interleaved_sample(300, seed, c, kappa, **options)
         assert [hexed((g.k_p, g.k_d, g.k_i, g.k_c)) for g in got] == \
             [hexed((g.k_p, g.k_d, g.k_i, g.k_c)) for g in want]
+
+
+def float_sample(u_d, u_f, u_m, c, kappa, r_const):
+    """The sampler of ``certify_sample`` for one row of uniforms, in floats."""
+    k_d = 1.0 + 9.0 * u_d
+    k_i_upper = _k_i_upper(k_d, c.delta, c.mu)
+    k_i = (0.05 + 0.85 * u_f) * k_i_upper
+    k_1, k_2, floor = gain_thresholds(k_d, k_i, kappa, r_const)
+    return Gains(k_p=(1.05 + 1.95 * u_m) * floor, k_d=k_d, k_i=k_i), k_i_upper, (k_1, k_2, floor)
+
+
+def float_audit(g, c, kappa, r_const):
+    """The float path of one triple, in the column pass's order."""
+    k_i_upper = _k_i_upper(g.k_d, c.delta, c.mu)
+    thresholds = gain_thresholds(g.k_d, g.k_i, kappa, r_const)
+    return k_i_upper, thresholds, lyapunov_matrices(g, c, kappa)
+
+
+def float_report(g, c, kappa, r_const):
+    """The ``CertificateReport`` fields of one triple by the float path."""
+    k_i_upper, (k_1, k_2, floor), eigs = float_audit(g, c, kappa, r_const)
+    lo, hi = c.kappa_range
+    kappa_ok, k_i_ok, k_p_ok = lo < kappa < hi, 0.0 < g.k_i < k_i_upper, g.k_p > floor
+    return dict(
+        k_p=g.k_p, k_d=g.k_d, k_i=g.k_i, delta=c.delta, mu=c.mu, kappa=kappa, r_const=r_const,
+        k_i_upper=k_i_upper, k_1=k_1, k_2=k_2, k_p_floor=floor,
+        k_i_margin=k_i_upper - g.k_i, k_p_margin=g.k_p - floor,
+        kappa_ok=kappa_ok, k_i_ok=k_i_ok, k_p_ok=k_p_ok, passed=kappa_ok and k_i_ok and k_p_ok,
+        p_eigenvalues=tuple(eigs.p_eigenvalues.tolist()),
+        q_eigenvalues=tuple(eigs.q_eigenvalues.tolist()),
+        p_positive_definite=eigs.p_positive_definite, q_positive_definite=eigs.q_positive_definite,
+    )
+
+
+def raised(call, *args):
+    """Type and message of what ``call(*args)`` raises, None if nothing; a
+    warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(*args)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return None
 
 
 gain_triples = st.tuples(
@@ -285,9 +344,10 @@ class TestCertifyGains:
     def test_equals_check_gains_field_for_field(
         self, count, drawn, seed, r_const, kappa_scale, scales, k_x,
     ):
-        # check_gains wraps the row of its one triple, so this compares each
-        # row of a batch with the audit of its triple alone, and the row with
-        # the per-matrix eigenvalues and the thresholds
+        # each triple of a batch against the float formulas (thresholds, bound,
+        # per-matrix eigenvalues), field for field; and, as check_gains audits
+        # a chunk of one triple, the drawn and the end triples against their
+        # audit alone
         believed = NominalParams(*(scale * getattr(BELIEVED, name) for scale, name in
                                    zip(scales, ("m_h", "i_h", "r", "m_a", "i_a", "l"))))
         c = derived_constants(believed, k_x)
@@ -298,33 +358,33 @@ class TestCertifyGains:
             k_d = rng.uniform(0.2, 15.0)
             triples.append(Gains(k_p=rng.uniform(0.01, 2000.0), k_d=k_d,
                                  k_i=rng.uniform(0.01, 1.2) * k_d**3))
-        rows, p_eigs, q_eigs = certify_chunk(triples, c, kappa, r_const)
-        assert len(rows) == count and p_eigs.shape == q_eigs.shape == (count, 3)
-        # a row holds the report fields k_p .. passed; the eigenvalues follow
-        names = [f.name for f in fields(CertificateReport)][:-2]
-        for g, row, p_row, q_row in zip(triples, rows, p_eigs.tolist(), q_eigs.tolist()):
-            got = dict(zip(names, [*row, tuple(p_row), tuple(q_row)], strict=True))
-            want = check_gains(g, c, kappa, r_const)
+        audit = chunk_of(triples, c, kappa, r_const)
+        # the audit holds the report fields, each a column of one value per triple
+        assert list(audit) == [f.name for f in fields(CertificateReport)]
+        assert all(len(column) == count for column in audit.values())
+        assert audit["p_eigenvalues"].shape == audit["q_eigenvalues"].shape == (count, 3)
+        alone = {*range(len(drawn[:count])), count - 1}
+        for k, g in enumerate(triples):
+            got = audit_row(audit, k)
+            want = float_report(g, c, kappa, r_const)
             for name, value in got.items():
-                assert hexed(value) == hexed(getattr(want, name)), name
-            eigs = lyapunov_matrices(g, c, kappa)
-            assert hexed(got["p_eigenvalues"]) == hexed(tuple(eigs.p_eigenvalues.tolist()))
-            assert hexed(got["q_eigenvalues"]) == hexed(tuple(eigs.q_eigenvalues.tolist()))
-            assert want.p_positive_definite == eigs.p_positive_definite
-            assert want.q_positive_definite == eigs.q_positive_definite
-            floor = gain_thresholds(g.k_d, g.k_i, kappa, r_const)[2]
-            assert hexed(got["k_p_floor"]) == hexed(floor)
+                assert hexed(value) == hexed(want[name]), name
+            if k in alone:
+                report = check_gains(g, c, kappa, r_const)
+                assert {name: hexed(v) for name, v in got.items()} == \
+                    {f.name: hexed(getattr(report, f.name)) for f in fields(report)}
 
     def test_mixed_verdicts_are_reported(self):
         c = derived_constants(BELIEVED, 6.0)
         kappa = kappa_mid(c)
-        rows, _, _ = certify_chunk([GAINS, Gains(120.0, 7.0, 4.0)], c, kappa, 1.0)
-        assert [row[-1] for row in rows] == [False, True]  # passed ends a row
+        audit = certify_chunk([16.0, 120.0], 7.0, 4.0, c, kappa, 1.0)  # GAINS, then a pass
+        assert audit["passed"].tolist() == [False, True]
 
     def test_empty_input_gives_no_reports(self):
         c = derived_constants(BELIEVED, 6.0)
-        rows, p_eigs, q_eigs = certify_chunk([], c, kappa_mid(c), 1.0)
-        assert rows == [] and p_eigs.shape == q_eigs.shape == (0, 3)
+        audit = certify_chunk([], [], [], c, kappa_mid(c), 1.0)
+        assert all(len(column) == 0 for column in audit.values())
+        assert audit["p_eigenvalues"].shape == audit["q_eigenvalues"].shape == (0, 3)
 
     @pytest.mark.parametrize("position", [0, CHUNK])
     def test_non_finite_entry_raises(self, position):
@@ -336,13 +396,13 @@ class TestCertifyGains:
         triples = [Gains(120.0, 7.0, 4.0)] * (CHUNK + 1)
         triples[position] = huge
         with pytest.raises(ValueError, match="non-finite"):
-            certify_chunk(triples, c, kappa_mid(c), 1.0)
+            chunk_of(triples, c, kappa_mid(c), 1.0)
 
     def test_validates_like_the_scalar_path(self):
         c = derived_constants(BELIEVED, 6.0)
         kappa = kappa_mid(c)
         with pytest.raises(ValueError, match="r_const"):
-            certify_chunk([GAINS], c, kappa, 0.0)
+            chunk_of([GAINS], c, kappa, 0.0)
 
 
 class TestCertifySample:
@@ -354,16 +414,13 @@ class TestCertifySample:
         c = derived_constants(BELIEVED, 5.0)
         kappa = kappa_mid(c)
         seed = 2026 + count
-        u_rows = np.random.default_rng(seed).random((count, 3)).tolist()
-        got_rows, got_p, got_q = certify_sample(u_rows, c, kappa, r_const)
-        want_rows, want_p, want_q = certify_chunk(
-            admissible_gain_sample(count, seed, c, kappa, r_const), c, kappa, r_const)
-        assert len(got_rows) == count and got_p.shape == got_q.shape == (count, 3)
-        assert [hexed(row) for row in got_rows] == [hexed(row) for row in want_rows]
-        assert [hexed(tuple(row)) for row in got_p.tolist()] == \
-            [hexed(tuple(row)) for row in want_p.tolist()]
-        assert [hexed(tuple(row)) for row in got_q.tolist()] == \
-            [hexed(tuple(row)) for row in want_q.tolist()]
+        u = np.random.default_rng(seed).random((count, 3))
+        got = certify_sample(u, c, kappa, r_const)
+        want = chunk_of(admissible_gain_sample(count, seed, c, kappa, r_const), c, kappa, r_const)
+        assert list(got) == list(want)
+        assert got["p_eigenvalues"].shape == got["q_eigenvalues"].shape == (count, 3)
+        assert [hexed(tuple(audit_row(got, k).values())) for k in range(count)] == \
+            [hexed(tuple(audit_row(want, k).values())) for k in range(count)]
 
     def test_validates_like_certify_chunk(self):
         c = derived_constants(BELIEVED, 6.0)
@@ -372,6 +429,58 @@ class TestCertifySample:
         # a floor that overflows gives the error Gains gives for k_p
         with pytest.raises(ValueError, match="^k_p must be finite and positive, got inf$"):
             certify_sample([[0.5, 0.5, 0.5]], c, 1e154, 1.0)
+
+
+class TestColumnPass:
+    """The batch audit's numpy columns hold bit for bit what the float
+    formulas give for each triple, and fail as they fail."""
+
+    def test_equals_the_float_path_bit_for_bit(self):
+        # 10^4 seeded triples of sweep's sampler; an array power (np.power or
+        # k_d * k_d * k_d) in place of Python's ** differs in the last ulp for
+        # some k_d, and this fails
+        c = derived_constants(BELIEVED, 6.0)
+        kappa = kappa_mid(c)
+        u = np.random.default_rng(26).random((10_000, 3))
+        audit = certify_sample(u, c, kappa, 1.0)
+        names = ("k_i_upper", "k_1", "k_2", "k_p_floor", "k_i_margin", "k_p_margin")
+        got = zip(*(audit[name].tolist() for name in names),
+                  audit["p_eigenvalues"][:, 0].tolist(), audit["q_eigenvalues"][:, 0].tolist())
+        for k, (row, u_row) in enumerate(zip(got, u.tolist())):
+            g, k_i_upper, (k_1, k_2, floor) = float_sample(*u_row, c, kappa, 1.0)
+            eigs = lyapunov_matrices(g, c, kappa)
+            want = (k_i_upper, k_1, k_2, floor, k_i_upper - g.k_i, g.k_p - floor,
+                    float(eigs.p_eigenvalues[0]), float(eigs.q_eigenvalues[0]))
+            assert [v.hex() for v in row] == [v.hex() for v in want], k
+
+    @pytest.mark.parametrize("position", [0, CHUNK - 1])
+    @pytest.mark.parametrize("bad, kappa, error", [
+        (Gains(120.0, 7.0, 0.5), -0.00146, ValueError),  # a negative under the k_2 root
+        (Gains(120.0, 7.0, 1e-110), None, ZeroDivisionError),  # k_i**3 underflows to 0
+        (Gains(120.0, 7.0, 1e160), None, OverflowError),  # k_i**2 overflows
+        (Gains(120.0, 1e80, 4.0), None, OverflowError),  # k_d**4 overflows
+    ])
+    def test_one_failing_triple_raises_the_float_error(self, bad, kappa, error, position):
+        c = derived_constants(BELIEVED, 6.0)
+        kappa = kappa_mid(c) if kappa is None else kappa
+        want = raised(float_audit, bad, c, kappa, 1.0)
+        assert want[0] is error
+        assert raised(float_audit, Gains(120.0, 7.0, 4.0), c, kappa, 1.0) is None
+        triples = [Gains(120.0, 7.0, 4.0)] * CHUNK
+        triples[position] = bad
+        assert raised(chunk_of, triples, c, kappa, 1.0) == want
+        assert raised(check_gains, bad, c, kappa, 1.0) == want
+
+    @pytest.mark.parametrize("position", [0, CHUNK - 1])
+    @pytest.mark.parametrize("u_m", [-1.0, 1e308])  # k_p negative, then inf
+    def test_one_bad_k_p_raises_what_gains_raises(self, u_m, position):
+        c = derived_constants(BELIEVED, 6.0)
+        kappa = kappa_mid(c)
+        want = raised(float_sample, 0.5, 0.5, u_m, c, kappa, 1.0)
+        assert want[0] is ValueError and want[1].startswith("k_p must be finite and positive")
+        u = np.random.default_rng(3).random((CHUNK, 3))
+        u[position] = (0.5, 0.5, u_m)
+        assert raised(certify_sample, u, c, kappa, 1.0) == want
 
 
 class TestReport:

@@ -556,9 +556,10 @@ class TestCheckGainsCommand:
         )
         sizes, certify = [], certificate.certify_chunk
 
-        def counted(triples, *args):
-            sizes.append(len(triples))
-            return certify(triples, *args)
+        def counted(*args, **kwargs):
+            audit = certify(*args, **kwargs)
+            sizes.append(len(audit["k_p"]))  # the triples of one column pass
+            return audit
 
         monkeypatch.setattr(certificate, "certify_chunk", counted)
         assert main(["check-gains", "--sweep", "kp", "0.3:390.1:0.3"]) == 0
@@ -674,6 +675,20 @@ class TestCertificateFlags:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert captured.err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize("flags, cause", [
+        # a negative kappa puts a negative number under the k_2 square root
+        (["--ki", "0.5", "--kappa", "-0.00146"], "math domain error"),
+        # k_i**3 underflows to 0, and the k_2 threshold divides by it
+        (["--ki", "1e-110"], "float division by zero"),
+    ])
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "kp", "90:100:5"]])
+    def test_undefined_thresholds_name_the_float_error(self, flags, cause, sweep, capsys):
+        # the table's column pass fails as the one triple of check-gains does
+        assert main(["check-gains", *flags, *sweep]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: certificate undefined at these flags: {cause}\n"
 
     @pytest.mark.parametrize("flags, message", BAD_CERTIFICATE_FLAGS + [
         (["--r-const", "-1"], "invalid certificate flags: r_const"),
@@ -896,17 +911,18 @@ class TestSweepCommand:
             )
 
     def test_evaluates_the_thresholds_once_per_triple(self, monkeypatch, tmp_path):
-        # the sampler's thresholds are the audit's: one call per sampled triple
-        calls, thresholds = [], certificate.gain_thresholds
+        # the sampler's thresholds are the audit's: one evaluation per sampled
+        # triple, a column of at most CHUNK triples at a time
+        sizes, thresholds = [], certificate.gain_thresholds
 
-        def counted(*args):
-            calls.append(args)
-            return thresholds(*args)
+        def counted(k_d, *args):
+            sizes.append(len(k_d))
+            return thresholds(k_d, *args)
 
         monkeypatch.setattr(certificate, "gain_thresholds", counted)
         assert main(["sweep", "--count", "513", "--seed", "3", "--jobs", "1",
                      "--out", str(tmp_path / "sweep.csv")]) == 0
-        assert len(calls) == 513
+        assert sizes == [certificate.CHUNK, 1]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_builds_no_gains(self, jobs, monkeypatch, tmp_path, capsys):

@@ -923,6 +923,27 @@ class TestIntegrateToCsv:
         written(head, tmp_path / "written")
         assert_same_files(tmp_path / "streamed", tmp_path / "written")
 
+    @pytest.mark.parametrize("writer", ["write_csv", "integrate_to_csv"])
+    def test_unknown_column_leaves_the_files_of_an_earlier_run(
+        self, writer, tmp_path, leaves_no_child_or_fd,
+    ):
+        # the column names are resolved before any table is opened, so none
+        # is truncated and no new one is made
+        cfg = make_config(t_end=0.5)
+        out = tmp_path / "run"
+        streamed(cfg, out)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert all(before.values())
+        figures = [(out / name, columns) for name, columns in FIGURES]
+        figures.append((out / "fig_bogus.csv", ("t", "bogus")))
+        with leaves_no_child_or_fd():
+            with pytest.raises(AttributeError, match="'bogus'"):
+                if writer == "write_csv":
+                    integrate(cfg).write_csv(out / "trajectory.csv", figures)
+                else:
+                    sim.integrate_to_csv(cfg, out / "trajectory.csv", figures)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_without_fork_the_same_writer_runs_in_this_process(
         self, monkeypatch, tmp_path, leaves_no_child_or_fd,
     ):
