@@ -45,8 +45,8 @@ def cos_squared_field(base: float, dip: float) -> InertiaField:
             f"inertia profile not positive: base={base!r} must exceed dip={dip!r}"
         )
     return InertiaField(
-        evaluate=lambda q: base - dip * math.cos(q) ** 2,
-        derivative=lambda q: dip * math.sin(2.0 * q),
+        evaluate=lambda q: base - dip * (math.cos(q) * math.cos(q)),
+        derivative=lambda q: 2.0 * dip * (math.sin(q) * math.cos(q)),
     )
 
 

@@ -109,7 +109,8 @@ class PlantParams:
 
     def inertia(self, theta_a: float) -> float:
         """Reduced inertia I(theta_a), shared by both acceleration equations."""
-        return self.rolling_inertia - self.inertia_dip * math.cos(theta_a) ** 2
+        cos_a = math.cos(theta_a)
+        return self.rolling_inertia - self.inertia_dip * (cos_a * cos_a)
 
 
 @dataclass(frozen=True)
@@ -137,23 +138,24 @@ def inertia_field(p) -> InertiaField:
 def gravity_torques(p: PlantParams, theta_a: float) -> tuple[float, float]:
     """Gravity torques (spin channel, actuator channel) at actuator angle theta_a."""
     sin_incline = math.sin(p.beta)
-    sin_hang = math.sin(theta_a + p.beta)
+    sin_a = math.sin(theta_a)
     cos_a = math.cos(theta_a)
+    sin_hang = sin_a * math.cos(p.beta) + cos_a * sin_incline  # sin(theta_a + beta)
     tau_spin = (
         p.r * p.m_total * p.g * sin_incline
         - (p.m_a**2 * p.r * p.l**2 * p.g / p.pendulum_inertia) * cos_a * sin_hang
     )
-    tau_act = (
-        p.coupling_amp * cos_a / p.pendulum_inertia
-    ) * tau_spin - p.inertia(theta_a) * p.m_a * p.g * p.l * sin_hang / p.pendulum_inertia
+    tau_act = (p.coupling_amp / p.pendulum_inertia) * cos_a * tau_spin - (
+        p.m_a * p.g * p.l / p.pendulum_inertia
+    ) * p.inertia(theta_a) * sin_hang
     return tau_spin, tau_act
 
 
 def coupling_gain(p: PlantParams, theta_a: float) -> float:
     """Gain B(theta_a) mapping the input torque onto the actuator equation."""
-    coupling = p.coupling_amp * math.cos(theta_a)
-    denom = p.pendulum_inertia - coupling
-    return coupling / p.pendulum_inertia - p.inertia(theta_a) / denom
+    cos_a = math.cos(theta_a)
+    denom = p.pendulum_inertia - p.coupling_amp * cos_a
+    return (p.coupling_amp / p.pendulum_inertia) * cos_a - p.inertia(theta_a) / denom
 
 
 def derivative(
@@ -169,13 +171,13 @@ def derivative(
         raise ValueError(f"control torque must be finite, got {tau_u!r}")
     sin_a = math.sin(s.theta_a)
     cos_a = math.cos(s.theta_a)
-    inertia = p.rolling_inertia - p.inertia_dip * cos_a**2
+    inertia = p.rolling_inertia - p.inertia_dip * (cos_a * cos_a)
     tau_spin, tau_act = gravity_torques(p, s.theta_a)
     gain = coupling_gain(p, s.theta_a)
     quad = p.coupling_amp * sin_a * s.omega_a**2
     omega_dot = (-quad + tau_spin + p.delta_s + tau_u) / inertia
     omega_a_dot = (
-        -(p.coupling_amp**2 / p.pendulum_inertia) * sin_a * cos_a * s.omega_a**2
+        -(p.coupling_amp**2 / p.pendulum_inertia) * (sin_a * cos_a) * s.omega_a**2
         + tau_act
         + p.delta_a
         + gain * tau_u

@@ -69,7 +69,8 @@ class NominalParams:
 
     def inertia(self, theta_a: float) -> float:
         """Believed reduced inertia at actuator angle theta_a."""
-        return self.rolling_inertia - self.inertia_dip * math.cos(theta_a) ** 2
+        cos_a = math.cos(theta_a)
+        return self.rolling_inertia - self.inertia_dip * (cos_a * cos_a)
 
 
 def nominal_from_true(p: PlantParams, factor: float) -> NominalParams:
@@ -99,8 +100,8 @@ def shaping_torque(n: NominalParams, theta_a: float) -> float:
     gravity coupling on the spin channel vanish; equivalently it reshapes the
     closed-loop potential so the spin equation sees no angle-dependent gravity.
     """
-    coeff = n.m_a**2 * n.r * n.l**2 * n.g / (2.0 * n.pendulum_inertia)
-    return coeff * math.sin(2.0 * theta_a)
+    coeff = n.m_a**2 * n.r * n.l**2 * n.g / n.pendulum_inertia
+    return coeff * (math.sin(theta_a) * math.cos(theta_a))
 
 
 def regularize(

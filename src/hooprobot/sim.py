@@ -11,7 +11,7 @@ trajectories.
 The closed-loop stage (controller, regularizer and plant derivative in one
 body) is held once, as a source template, bit-identical to the composition
 of the modular functions in ``controller``, ``regularizer`` and ``plant``,
-its readable reference and test oracle; squares stay ``**2`` as there.  It
+its readable reference and test oracle, with their operand order.  It
 is compiled as the stage function of ``closed_loop``, and inlined at the
 four stages of each step of ``integrate``'s RK4 loop next to the scenario's
 sample text from ``reference`` and the recorded row; so the loop, compiled
@@ -406,35 +406,43 @@ def lagrangian_oracle(
 # inlines it at each RK4 stage.  It reads the state o, omega, theta_a,
 # omega_a, o_i and the sample o_ref, o_dot_ref, o_ddot_ref, and sets
 # omega_dot, omega_a_dot, o_i_rate, tau_u and tilde, by arithmetic and the sin
-# and cos of ``math`` alone, so it runs on symbols too.  Squares stay ``**2``
-# as in the modular functions: glibc's pow(x, 2.0) differs from x*x in the
-# last bit for 2485 of 3,000,000 doubles drawn from U(-10, 10) (glibc 2.36,
-# x86-64), so x*x would break the bit-equality with them.  ``_CONSTANTS``
-# reads the true plant p, the belief n and the gains g once per run.
+# and cos of ``math`` alone, so it runs on symbols too.  Its trig is cos and
+# sin of theta_a: sin(theta_a + beta) and sin 2 theta_a come by the
+# angle-addition forms.  cos^2 is a product, since |cos| <= 1 cannot
+# overflow; omega_a^2 stays ``**2``, so a huge omega_a raises OverflowError
+# where x*x would give inf.  The modular functions write each form the same
+# way (pow(x, 2.0) and x*x differ in the last bit for some x), so the two
+# stay equal bit for bit.
+# ``_CONSTANTS`` reads the true plant p, the belief n and the gains g once
+# per run.
 _CONSTANTS = """\
 sin, cos = math.sin, math.cos
-beta, neg_r = p.beta, -p.r
+beta, neg_r, l = p.beta, -p.r, p.l
 rolling, dip = p.rolling_inertia, p.inertia_dip
 amp, pend = p.coupling_amp, p.pendulum_inertia
-m_a, grav, l = p.m_a, p.g, p.l
 delta_s, delta_a = p.delta_s, p.delta_a
-spin_incline = p.r * p.m_total * p.g * sin(p.beta)
+sin_beta, cos_beta = sin(p.beta), cos(p.beta)
+spin_incline = p.r * p.m_total * p.g * sin_beta
 spin_hang = p.m_a**2 * p.r * p.l**2 * p.g / p.pendulum_inertia
+amp_ratio = p.coupling_amp / p.pendulum_inertia
+hang_ratio = p.m_a * p.g * p.l / p.pendulum_inertia
 act_quad = -(p.coupling_amp**2 / p.pendulum_inertia)
 n_r, n_rolling, n_dip, n_amp = n.r, n.rolling_inertia, n.inertia_dip, n.coupling_amp
-shaping = n.m_a**2 * n.r * n.l**2 * n.g / (2.0 * n.pendulum_inertia)
+n_dip_2 = 2.0 * n.inertia_dip
+shaping = n.m_a**2 * n.r * n.l**2 * n.g / n.pendulum_inertia
 k_p, k_d, k_i = g.k_p, g.k_d, g.k_i
 """
 _TRIG = """\
 cos_a = cos(theta_a)
 sin_a = sin(theta_a)
-sin_2a = sin(2.0 * theta_a)
+cos_sq = cos_a * cos_a
+sin_cos = sin_a * cos_a
 omega_a_sq = omega_a**2
 """
 _INTEGRATOR = """\
 eta_e = -(o - o_ref)
-n_inertia = n_rolling - n_dip * cos_a**2
-slope = n_dip * sin_2a
+n_inertia = n_rolling - n_dip * cos_sq
+slope = n_dip_2 * sin_cos
 o_i_rate = eta_e - slope / (2.0 * n_inertia) * omega_a * o_i
 """
 _PID = """\
@@ -443,7 +451,7 @@ tilde = -n_inertia * (k_p * eta_e + k_d * omega_e + k_i * o_i)
 tau_u = (
     -(0.5 * slope * omega_a * omega_e)
     + n_amp * sin_a * omega_a_sq
-    + shaping * sin_2a
+    + shaping * sin_cos
     + tilde
 )
 """
@@ -453,19 +461,17 @@ tau_u += tau_ref
 tilde += tau_ref
 """
 _PLANT = """\
-inertia = rolling - dip * cos_a**2
-sin_hang = sin(theta_a + beta)
-coupling = amp * cos_a
-denom = pend - coupling
-coupling_ratio = coupling / pend
+inertia = rolling - dip * cos_sq
+sin_hang = sin_a * cos_beta + cos_a * sin_beta
+coupling_ratio = amp_ratio * cos_a
 tau_spin = spin_incline - spin_hang * cos_a * sin_hang
-tau_act = coupling_ratio * tau_spin - inertia * m_a * grav * l * sin_hang / pend
+tau_act = coupling_ratio * tau_spin - hang_ratio * inertia * sin_hang
 omega_dot = (-(amp * sin_a * omega_a_sq) + tau_spin + delta_s + tau_u) / inertia
 omega_a_dot = (
-    act_quad * sin_a * cos_a * omega_a_sq
+    act_quad * sin_cos * omega_a_sq
     + tau_act
     + delta_a
-    + (coupling_ratio - inertia / denom) * tau_u
+    + (coupling_ratio - inertia / (pend - amp * cos_a)) * tau_u
 ) / inertia
 """
 
@@ -521,11 +527,11 @@ def closed_loop(cfg: SimConfig) -> Callable[[ReferenceSample, tuple, Optional[tu
     The body is the module's one stage template, which ``integrate``'s
     loop inlines at each RK4 stage: ``controller.step`` (error, PID,
     ``regularize``, ``integrator_rate``) then ``plant.derivative``, with the
-    constants read once per run and cos, sin, sin 2 of theta_a and
-    sin(theta_a + beta) once per stage.  Every expression keeps the operand
-    order of those functions, ``**2`` included, and a constant is hoisted
-    only where it is a left-to-right prefix of one, so the rates and torques
-    equal the modular composition bit for bit, as the tests check.  It
+    constants read once per run and cos and sin of theta_a once per stage.
+    Every expression keeps the operand order of those functions, ``**2``
+    included, and a constant or product is hoisted only where it is a
+    left-to-right prefix or a parenthesised factor of one, so the rates and
+    torques equal the modular composition bit for bit, as the tests check.  It
     checks nothing: a non-finite torque gives a non-finite ``omega_dot``,
     which ends the step of ``integrate`` that takes it.
     """
@@ -609,7 +615,7 @@ _LOOP = """\
 def loop(p, n, g, flush, traj, dt, steps, stride, hold_steps,
          theta, o, omega, theta_a, omega_a, o_i{params}):
 {constants}
-    half, sixth, limit = dt / 2.0, dt / 6.0, DIVERGENCE_LIMIT
+    half, sixth, limit, neg_limit = dt / 2.0, dt / 6.0, DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT
     held = None  # hold mode: the (tau_u, tilde) frozen at the last instant
     try:
         for i in range(steps + 1):
@@ -642,7 +648,7 @@ _RATES = (("theta", "omega"), ("o", "o_rate"), ("omega", "omega_dot"),
 _ROW_CONSTANTS = """\
 half_rolling = 0.5 * (p.i_h + p.m_h * p.r**2)
 half_m_a, half_i_a = 0.5 * p.m_a, 0.5 * p.i_a
-sin_beta, r_cos_beta = sin(p.beta), p.r * cos(p.beta)
+r_cos_beta = p.r * cos(p.beta)
 weight, hang = p.m_total * p.g, p.m_a * p.g * p.l
 """
 _ROW = """\
@@ -694,7 +700,7 @@ def _loop_source(scenario: str, open_loop: bool, feedforward: bool, hold: bool) 
         k1=indent(sample("t") + k1, " " * 12).rstrip("\n"),
         row=indent(row, " " * 16).rstrip("\n"),
         k2_to_k4=indent("".join(stages), " " * 12).rstrip("\n"),
-        bounded=" and ".join(f"-limit <= {x}_n <= limit" for x, _ in _RATES),
+        bounded=" and ".join(f"neg_limit <= {x}_n <= limit" for x, _ in _RATES),
         advance="\n".join(f"            {x} = {x}_n" for x, _ in _RATES),
     )
 

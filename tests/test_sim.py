@@ -1,10 +1,12 @@
 """Integrator behavior: configs, determinism, energy accounting, the oracle."""
 import csv
+import functools
 import itertools
 import linecache
 import math
 import os
 import random
+import re
 import traceback
 import tracemalloc
 from array import array
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hooprobot import controller, sim
-from hooprobot.cli import FIGURES
+from hooprobot.cli import FIGURES, build_sim_config, load_config
 from hooprobot.controller import Gains
 from hooprobot.plant import HoopState, PlantParams, coupling_gain, derivative
 from hooprobot.reference import SCENARIOS, ReferenceSample, make_reference, sample_source
@@ -182,6 +184,19 @@ class TestLagrangianOracle:
             lagrangian_oracle(fake, s, 0.0)
 
 
+# (theta, o, omega, theta_a, omega_a, o_I) at t = 60 s of the default run
+# and of its sinusoid with feedforward at stride 1, as float.hex, from the
+# stage that took sin(theta_a + beta), sin 2 theta_a and cos(theta_a)**2
+# from libm and pow: the reference path of the 1e-12 rule.
+REFERENCE_FINAL_STATES = {
+    "default": ("-0x1.638e7d3285ac9p+3", "0x1.8974ed981f3cap-18", "0x1.0e11de253eee8p-18",
+                "0x1.0c5f052332268p-2", "0x1.d9c2c9121072fp-26", "0x1.2d805984f42f1p+2"),
+    "sinusoid_feedforward_dense": (
+        "-0x1.bf30143c5df6cp+3", "0x1.07e6a0addb674p-1", "0x1.af73e1eadf7c2p+0",
+        "0x1.0efc523fb6204p-2", "0x1.2c5906af6616ap-7", "0x1.2b7c6131c0006p+2"),
+}
+
+
 class TestIntegrate:
     def test_sample_counts(self):
         cfg = make_config(t_end=1.0, dt=1e-3, stride=10)
@@ -272,6 +287,18 @@ class TestIntegrate:
         assert len(err.trajectory) == rows
         s = cfg.initial
         assert err.state == (s.theta, s.o, s.omega, s.theta_a, s.omega_a, 0.0)
+
+    @pytest.mark.parametrize("name", REFERENCE_FINAL_STATES)
+    def test_final_state_stays_within_1e_12_of_the_reference_path(self, name):
+        # a rewrite of the stage's arithmetic may move the path by rounding only
+        cfg = build_sim_config(load_config(None))
+        if name == "sinusoid_feedforward_dense":
+            cfg = replace(cfg, scenario="sinusoid", feedforward=True, stride=1)
+        traj = integrate(cfg)
+        assert traj.t[-1] == 60.0
+        final = [getattr(traj, c)[-1] for c in ("theta", "o", "omega", "theta_a", "omega_a", "o_I")]
+        reference = [float.fromhex(h) for h in REFERENCE_FINAL_STATES[name]]
+        assert max(abs(x - y) for x, y in zip(final, reference)) <= 1e-12
 
     def test_hold_mode_still_converges(self):
         held = integrate(make_config(t_end=40.0, hold_dt=0.01))
@@ -615,6 +642,152 @@ class TestSymbolicStage:
                     * (lam**2 + m_a * grav * l / (i_a + m_a * l**2 - m_a * r * l)))
         assert sympy.cancel(jacobian.charpoly(lam).as_expr() - expected) == 0
 
+    @pytest.mark.parametrize("feedforward", [False, True])
+    def test_controller_text_is_the_double_angle_law_exactly(self, feedforward):
+        # The stage takes sin 2 theta_a as 2 sin cos and cos^2 as a product,
+        # and hoists h = m_a^2 r l^2 g / (i_a + m_a l^2) where the law reads
+        # (h/2) sin 2 theta_a: with every parameter a free symbol, its
+        # integrator rate and torques are the law's written with sin 2
+        # theta_a, exactly, so the rewrite changed rounding only.
+        sympy = pytest.importorskip("sympy")
+        scope = symbolic_stage_scope(sympy)
+        exec(sim._CONSTANTS + sim._stage_source(False, feedforward, "fresh"), scope)
+        n, g = scope["n"], scope["g"]
+        sin, cos = sympy.sin, sympy.cos
+        o, omega, theta_a, omega_a, o_i, o_ref, o_dot_ref, o_ddot_ref = (
+            scope[name] for name in STAGE_INPUTS)
+        n_inertia = n.rolling_inertia - n.inertia_dip * cos(theta_a)**2
+        slope = n.inertia_dip * sin(2 * theta_a)
+        h = n.m_a**2 * n.r * n.l**2 * n.g / n.pendulum_inertia
+        eta_e, omega_e = o_ref - o, omega + o_dot_ref / n.r
+        tilde = -n_inertia * (g.k_p * eta_e + g.k_d * omega_e + g.k_i * o_i)
+        tau_u = (-slope / 2 * omega_a * omega_e + n.coupling_amp * sin(theta_a) * omega_a**2
+                 + h / 2 * sin(2 * theta_a) + tilde)
+        if feedforward:
+            tau_ref = n_inertia * (-o_ddot_ref / n.r)
+            tau_u, tilde = tau_u + tau_ref, tilde + tau_ref
+        expected = {"o_i_rate": eta_e - slope / (2 * n_inertia) * omega_a * o_i,
+                    "tau_u": tau_u, "tilde": tilde}
+        for name, law in expected.items():
+            text = sympy.nsimplify(scope[name], rational=True)
+            assert sympy.cancel(sympy.expand_trig(text - law)) == 0, name
+
+    def test_plant_text_is_the_euler_lagrange_equations_exactly(self):
+        # Independent of the plant module: the accelerations of Lagrange's
+        # equations for ``energy`` on symbols, with the input as the pair
+        # (tau, -tau) and the disturbances added over I, equal the plant
+        # text's at 20 random rational points, exactly.
+        residuals = euler_lagrange_residuals(sim._PLANT, points=20)
+        assert residuals == [(0, 0)] * 20
+
+    @pytest.mark.parametrize("name", [
+        "rolling", "dip", "amp", "pend", "delta_s", "delta_a", "spin_incline", "spin_hang",
+        "amp_ratio", "hang_ratio", "act_quad"])
+    def test_euler_lagrange_check_sees_a_coefficient_off_by_a_thousandth(self, name):
+        plant = re.sub(rf"\b{name}\b", f"({name} * 1001 / 1000)", sim._PLANT)
+        assert plant != sim._PLANT
+        assert euler_lagrange_residuals(plant, points=1) != [(0, 0)]
+
+
+# the names of the stage's state and reference sample
+STAGE_INPUTS = ("o", "omega", "theta_a", "omega_a", "o_i", "o_ref", "o_dot_ref", "o_ddot_ref")
+
+
+def symbolic_stage_scope(sympy):
+    """An ``exec`` scope for the stage text in which the true plant p, the
+    belief n and the gains g hold independent symbols for every field the
+    text reads, and the state and sample are symbols."""
+    def fields(prefix, names):
+        return SimpleNamespace(**{name: sympy.Symbol(f"{prefix}{name}", positive=True)
+                                  for name in names})
+
+    masses = ("r", "m_a", "l", "g", "m_total", "pendulum_inertia", "coupling_amp",
+              "inertia_dip", "rolling_inertia")
+    p = fields("", masses)
+    p.beta, p.delta_s, p.delta_a = sympy.symbols("beta delta_s delta_a", real=True)
+    n, g = fields("n_", masses), fields("", ("k_p", "k_d", "k_i"))
+    return dict(math=SimpleNamespace(sin=sympy.sin, cos=sympy.cos), p=p, n=n, g=g,
+                **{name: sympy.Symbol(name, real=True) for name in STAGE_INPUTS})
+
+
+@functools.cache
+def euler_lagrange_accelerations():
+    """The plant's (omega_dot, omega_a_dot) from Lagrange's equations for
+    ``energy``, as sympy expressions in the symbols of the parameters, the
+    velocities w1, w2, tau_u and sin and cos of theta_a and beta; with the
+    parameter namespace and those symbols.
+
+    The coordinates are (theta, theta_a), the centre at o = -r theta + c.
+    M w' = Q + dL/dq - (dp/dq) w, with p = dL/dw and M = d2L/dw2, and
+    Q = (tau, -tau), tau = tau_u A / (A - m_a r l cos theta_a); the
+    disturbances add delta / I to the accelerations, as in ``plant``.
+    """
+    sympy = pytest.importorskip("sympy")
+    m_h, i_h, r, m_a, i_a, l, grav = sympy.symbols("m_h i_h r m_a i_a l g", positive=True)
+    beta, delta_s, delta_a, tau_u, c = sympy.symbols("beta delta_s delta_a tau_u c", real=True)
+    q1, q2, w1, w2 = sympy.symbols("q1 q2 w1 w2", real=True)
+    pend, amp = i_a + m_a * l**2, m_a * r * l
+    p = SimpleNamespace(
+        m_h=m_h, i_h=i_h, r=r, m_a=m_a, i_a=i_a, l=l, g=grav, beta=beta, delta_s=delta_s,
+        delta_a=delta_a, m_total=m_h + m_a, pendulum_inertia=pend, coupling_amp=amp,
+        inertia_dip=amp**2 / pend, rolling_inertia=i_h + (m_h + m_a) * r**2,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "math", SimpleNamespace(sin=sympy.sin, cos=sympy.cos))
+        ke, pe = energy(p, HoopState(theta=q1, o=-r * q1 + c, omega=w1, theta_a=q2, omega_a=w2))
+    lagrangian = sympy.nsimplify(ke - pe, rational=True)  # its 0.5 as 1/2
+    q, w = (q1, q2), (w1, w2)
+    momenta = [sympy.diff(lagrangian, v) for v in w]
+    mass = sympy.Matrix(2, 2, lambda i, j: sympy.diff(momenta[i], w[j]))
+    tau = tau_u * pend / (pend - amp * sympy.cos(q2))
+    forces = sympy.Matrix([
+        force + sympy.diff(lagrangian, q[i]) - sum(sympy.diff(momenta[i], q[j]) * w[j]
+                                                   for j in range(2))
+        for i, force in enumerate((tau, -tau))
+    ])
+    inertia = p.rolling_inertia - p.inertia_dip * sympy.cos(q2)**2
+    accelerations = mass.LUsolve(forces) + sympy.Matrix([delta_s, delta_a]) / inertia
+    # sin and cos of theta_a + beta become those of theta_a and beta; the
+    # angle symbols then appear only inside sin and cos
+    accelerations = [sympy.expand_trig(a).subs(q2, sympy.Symbol("theta_a", real=True))
+                     for a in accelerations]
+    return accelerations, p, (m_h, i_h, r, m_a, i_a, l, grav, c, delta_s, delta_a), (w1, w2, tau_u)
+
+
+def euler_lagrange_residuals(plant_text, points):
+    """(omega_dot, omega_a_dot) of Lagrange's equations minus those of
+    ``_CONSTANTS + _TRIG + plant_text`` at ``points`` seeded rational
+    points, each difference exact: theta_a and beta enter through the
+    half-angle substitution sin = 2u/(1 + u^2), cos = (1 - u^2)/(1 + u^2)
+    at rational u, so every value is a rational number."""
+    sympy = pytest.importorskip("sympy")
+    accelerations, p, params, (w1, w2, tau_u) = euler_lagrange_accelerations()
+    theta_a = sympy.Symbol("theta_a", real=True)
+    scope = dict(math=SimpleNamespace(sin=sympy.sin, cos=sympy.cos), p=p, n=p,
+                 g=SimpleNamespace(k_p=1, k_d=1, k_i=1), theta_a=theta_a, omega_a=w2, tau_u=tau_u)
+    exec(sim._CONSTANTS + sim._TRIG + plant_text, scope)
+    text = [sympy.expand_trig(sympy.nsimplify(scope[name], rational=True))
+            for name in ("omega_dot", "omega_a_dot")]
+    rng = random.Random(10)
+    draw = lambda lo, hi: sympy.Rational(rng.randint(lo, hi), 100)
+    residuals = []
+    for _ in range(points):
+        # a hoop of radius 0.1 to 0.5 m with its arm inside; a point where
+        # the mass matrix were singular would give no rational residual
+        radius = draw(10, 50)
+        values = dict(zip(params, (draw(20, 500), draw(1, 10) / 10, radius, draw(30, 500),
+                                   draw(1, 10) / 10, radius * draw(10, 95) / 100, draw(0, 1000),
+                                   draw(-300, 300), draw(-30, 30), draw(-30, 30))))
+        values.update({w1: draw(-300, 300), w2: draw(-300, 300), tau_u: draw(-500, 500)})
+        for angle, u in ((theta_a, draw(-300, 300)), (p.beta, draw(-60, 60))):
+            values[sympy.sin(angle)] = 2 * u / (1 + u**2)
+            values[sympy.cos(angle)] = (1 - u**2) / (1 + u**2)
+        residual = tuple(sympy.cancel(a.xreplace(values) - b.xreplace(values))
+                         for a, b in zip(accelerations, text))
+        assert all(value.is_Rational for value in residual), residual
+        residuals.append(residual)
+    return residuals
+
 
 class TestCompiledLoop:
     """The loop source is compiled once per combination of flags and holds no
@@ -643,6 +816,20 @@ class TestCompiledLoop:
         frame = traceback.extract_tb(overflow.__traceback__)[-1]
         assert frame.filename.startswith("<hooprobot.sim loop ")
         assert frame.line == "omega_a_sq = omega_a_2**2"
+
+    @pytest.mark.parametrize("open_loop, feedforward, torque, suffix", itertools.product(
+        (False, True), (False, True), ("fresh", "held", "either"), ("", "_2")))
+    def test_a_stage_calls_sin_cos_and_pow_once_each(self, open_loop, feedforward, torque,
+                                                     suffix):
+        source = sim._stage_source(open_loop, feedforward, torque, suffix)
+        assert (source.count("sin("), source.count("cos("), source.count("**")) == (1, 1, 1)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_the_state_bound_negates_no_limit_in_the_loop(self, scenario):
+        for flags in itertools.product((False, True), repeat=3):
+            source = sim._loop_source(scenario, *flags)
+            body = source.split("for i in range(steps + 1):\n", 1)[1].split("\n    except ")[0]
+            assert "<= limit" in body and "-limit" not in body
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_the_loop_inlines_the_text_make_reference_compiles(self, scenario):
