@@ -28,7 +28,8 @@ from .controller import Gains
 from .plant import HoopState, PlantParams, actuator_equilibrium
 from .reference import SCENARIOS
 from .regularizer import NominalParams, nominal_from_true
-from .sim import DivergenceError, SimConfig, Trajectory, WriterError, integrate_to_csv
+from .sim import (SETTLING_BAND, DivergenceError, RunSummary, SimConfig, Trajectory,
+                  WriterError, integrate_to_csv, summarize)
 
 
 class Option(NamedTuple):
@@ -93,8 +94,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
     section: {opt.key: opt.default for opt in SCHEMA if opt.section == section}
     for section in dict.fromkeys(opt.section for opt in SCHEMA)
 }
-
-SETTLING_BAND = 0.01  # |o_e| threshold for the settling-time summary metric
 
 # Plot-ready per-figure tables next to trajectory.csv: position against the
 # reference, and the three error series.
@@ -234,29 +233,13 @@ def build_sim_config(cfg: dict[str, dict[str, str]]) -> SimConfig:
 
 def settling_time(traj: Trajectory) -> float:
     """Earliest time after which |o_e| stays inside SETTLING_BAND; inf if never."""
-    last_outside = None
-    for i, value in enumerate(traj.o_e):
-        if abs(value) >= SETTLING_BAND:
-            last_outside = i
-    if last_outside is None:
-        return traj.t[0]
-    if last_outside == len(traj.o_e) - 1:
-        return math.inf
-    return traj.t[last_outside + 1]
-
-
-def _summary(traj: Trajectory) -> dict[str, float]:
-    return {
-        "terminal_o_e": abs(traj.o_e[-1]),
-        "max_omega_a": max(abs(v) for v in traj.omega_a),
-        "settling_time": settling_time(traj),
-    }
+    return summarize(traj).settling_time
 
 
 def write_manifest(
-    path: Path, cfg: dict[str, dict[str, str]], summary: Optional[dict[str, float]] = None,
+    path: Path, cfg: dict[str, dict[str, str]], summary: Optional[RunSummary] = None,
 ) -> None:
-    """Write the run manifest: a re-ingestable config plus summary metrics.
+    """Write the run manifest: a re-ingestable config plus the summary but its rows.
 
     Values are normalized (angles in radians, floats via repr) so a rerun
     from the manifest reproduces the trajectory bit-identically.
@@ -269,7 +252,7 @@ def write_manifest(
         }
     out["meta"] = {"tool_version": __version__}
     if summary is not None:
-        out["summary"] = {key: repr(value) for key, value in summary.items()}
+        out["summary"] = {key: repr(getattr(summary, key)) for key in RunSummary._fields[1:]}
     with open(path, "w", encoding="utf-8") as fh:
         out.write(fh)
 
@@ -296,12 +279,11 @@ def cmd_simulate(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> in
     with _writing(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
         try:
-            traj = integrate_to_csv(
+            summary = integrate_to_csv(
                 sim_cfg,
                 out_dir / "trajectory.csv",
                 [(out_dir / name, columns) for name, columns in FIGURES],
             )
-            summary = _summary(traj)
         except DivergenceError as exc:
             print(f"error: {exc}", file=sys.stderr)  # the partial run is written all the same
         except WriterError as exc:
@@ -314,10 +296,10 @@ def cmd_simulate(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> in
     if summary is None:
         return 1
     print(
-        f"scenario {sim_cfg.scenario}: {len(traj)} samples over {sim_cfg.t_end} s; "
-        f"terminal |o_e| = {summary['terminal_o_e']:.3e} m, "
-        f"max |omega_a| = {summary['max_omega_a']:.3f} rad/s, "
-        f"settling(|o_e|<{SETTLING_BAND}) = {summary['settling_time']:.3f} s"
+        f"scenario {sim_cfg.scenario}: {summary.rows} samples over {sim_cfg.t_end} s; "
+        f"terminal |o_e| = {summary.terminal_o_e:.3e} m, "
+        f"max |omega_a| = {summary.max_omega_a:.3f} rad/s, "
+        f"settling(|o_e|<{SETTLING_BAND}) = {summary.settling_time:.3f} s"
     )
     print(f"wrote {out_dir / 'trajectory.csv'} and manifest.ini")
     return 0
@@ -479,10 +461,11 @@ def cmd_sweep(args: argparse.Namespace, cfg: dict[str, dict[str, str]]) -> int:
     return 0
 
 
-def _add_config_flags(sub: argparse.ArgumentParser, *sections: str) -> None:
-    """``--config`` plus one flag per key of ``sections``; each overrides the file."""
+def _add_config_flags(sub: argparse.ArgumentParser, *sections: str, skip=()) -> None:
+    """``--config`` plus one flag per key of ``sections`` but those in ``skip``;
+    each overrides the file."""
     sub.add_argument("--config", help="configuration file (key = value with sections)")
-    for opt in _options(*sections):
+    for opt in (opt for opt in _options(*sections) if opt.key not in skip):
         if opt.kind == "flag":
             kwargs: dict = {"action": "store_const", "const": "true"}
         elif opt.kind == "scenario":
@@ -545,7 +528,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_eq.set_defaults(func=cmd_equilibrium)
 
     p_sw = sub.add_parser("sweep", help="seeded sweep of admissible gain triples")
-    _add_config_flags(p_sw, "plant", "controller")
+    # sweep draws its own gains, so of the controller flags it takes --mismatch only
+    _add_config_flags(p_sw, "plant", "controller", skip=("k_p", "k_d", "k_i", "k_c"))
     _add_certificate_flags(p_sw)
     p_sw.add_argument("--count", type=int, default=100)
     p_sw.add_argument("--seed", type=int, default=1)

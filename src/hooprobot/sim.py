@@ -28,7 +28,8 @@ the recorded column as well.
 ``integrate`` and ``Trajectory.write_csv`` run in the calling process.
 ``integrate_to_csv``, which ``hooprobot simulate`` calls, forks one writer
 process that turns the rows into CSV text while the caller integrates; both
-writers share one formatting loop, so their files are byte-identical.
+writers share one formatting loop, so their files are byte-identical.  The
+caller folds each block it sends into a ``RunSummary`` and drops it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass, field as dc_field
 from textwrap import indent
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .controller import Gains
 from .plant import HoopState, PlantParams
@@ -59,6 +60,7 @@ CSV_COLUMNS = tuple(CSV_HEADER.split(","))
 # sizes one pipe message of integrate_to_csv: CSV_CHUNK rows of the tables'
 # columns as raw doubles, 24 KiB for simulate's 12.
 CSV_CHUNK = 256
+SETTLING_BAND = 0.01  # |o_e| threshold for the settling-time summary metric
 
 
 class DivergenceError(RuntimeError):
@@ -185,6 +187,37 @@ class Trajectory:
                 write([column[start:start + CSV_CHUNK] for column in columns])
 
 
+class RunSummary(NamedTuple):
+    """What ``simulate`` reports of a run's recorded rows."""
+
+    rows: int
+    terminal_o_e: float  # |o_e| at the last row
+    max_omega_a: float  # max |omega_a|, 0.0 over no rows
+    settling_time: float  # the earliest t after which |o_e| < SETTLING_BAND; inf if never
+
+
+_NO_ROWS = RunSummary(0, 0.0, 0.0, math.inf)  # before the first row: where a fold starts
+
+
+def summarize(traj: Trajectory, before: RunSummary = _NO_ROWS) -> RunSummary:
+    """The summary of the rows of ``traj`` (at least one) after those that
+    ``before`` summarizes: folded block by block, that of the whole run.
+    Only a block with a row outside the band is scanned in Python, backwards
+    to its last such row; a block that ends outside leaves the settling
+    time inf until the first t of the next."""
+    t, o_e = traj.t, traj.o_e
+    settling = before.settling_time
+    if max(map(abs, o_e)) >= SETTLING_BAND:
+        last = len(o_e) - 1
+        while abs(o_e[last]) < SETTLING_BAND:
+            last -= 1
+        settling = t[last + 1] if last + 1 < len(t) else math.inf
+    elif settling == math.inf:
+        settling = t[0]
+    max_omega_a = max(before.max_omega_a, max(map(abs, traj.omega_a), default=0.0))
+    return RunSummary(before.rows + len(t), abs(o_e[-1]), max_omega_a, settling)
+
+
 def _open_tables(stack: ExitStack, path, figures, traj: "Trajectory") -> tuple[list, list]:
     """Open the tables of ``Trajectory.write_csv`` on ``stack``; returns
     (file, columns, line end) triples, the trajectory table first, and the
@@ -231,8 +264,8 @@ def _fork_writer(tables: list) -> tuple:
     """Fork a process that writes the open ``tables`` from blocks sent to it.
 
     Returns ``(send, finish)`` for this process.  ``send(block)`` puts a
-    block of ``_table_writer``, ``array('d')`` slices of the columns, down a
-    pipe as their bytes, column after column.  Every block but the last has
+    block of ``_table_writer``, ``array('d')`` columns, down a pipe as
+    their bytes, column after column.  Every block but the last has
     ``CSV_CHUNK`` rows, so one read of that size takes one block, and a
     shorter one ends the stream.
     ``finish()`` closes the pipe, waits for the writer and raises
@@ -562,26 +595,28 @@ def integrate(cfg: SimConfig) -> Trajectory:
     return traj
 
 
-def integrate_to_csv(cfg: SimConfig, path, figures=()) -> Trajectory:
+def integrate_to_csv(cfg: SimConfig, path, figures=()) -> RunSummary:
     """``integrate(cfg)`` that writes ``write_csv(path, figures)`` of its
-    trajectory as it runs; returns the trajectory.
+    trajectory as it runs; returns ``summarize`` of that trajectory.
 
     The tables are opened before the run starts, so an error opening one
     raises before any step.  A forked writer process (``_fork_writer``)
     formats and writes them while this process integrates; every
     ``CSV_CHUNK`` recorded rows go to it as the bytes of the columns, exact
-    doubles at 8 bytes per value as in ``integrate``.  However the run ends,
-    normally or by an exception (DivergenceError, KeyboardInterrupt), the
-    rows not yet sent follow and the writer is waited for, so the files hold
-    every recorded row, byte for byte what ``write_csv`` writes.  A failed
-    writer raises WriterError.  Without ``os.fork`` the same writer takes
-    the blocks in this process.
+    doubles at 8 bytes per value as in ``integrate``, are folded into the
+    summary and dropped, so this process holds at most one block of rows.
+    However the run ends, normally or by an exception (DivergenceError,
+    KeyboardInterrupt), the rows not yet sent follow and the writer is
+    waited for, so the files hold every recorded row, byte for byte what
+    ``write_csv`` writes; a DivergenceError's ``trajectory`` then holds no
+    rows.  A failed writer raises WriterError.  Without ``os.fork`` the same
+    writer takes the blocks in this process.
 
     A fork copies only the calling thread, so call this from a process
     that runs no other thread, as ``hooprobot simulate`` does.
     """
     traj = Trajectory()
-    sent = 0
+    summary = _NO_ROWS
     with ExitStack() as stack:
         tables, columns = _open_tables(stack, path, figures, traj)
         if hasattr(os, "fork"):
@@ -590,20 +625,21 @@ def integrate_to_csv(cfg: SimConfig, path, figures=()) -> Trajectory:
             send, finish = _table_writer(tables), lambda: None
 
         def flush() -> None:
-            nonlocal sent
-            block = [column[sent:] for column in columns]
-            sent = len(traj)
-            send(block)
+            nonlocal summary
+            send(columns)
+            summary = summarize(traj, summary)
+            for column in vars(traj).values():
+                del column[:]
 
         try:
             _run(cfg, traj, flush)
         finally:
             try:
-                if sent < len(traj):
+                if len(traj):
                     flush()
             finally:
                 finish()
-    return traj
+    return summary
 
 
 # The RK4 loop of ``_run``: the state in six floats; the scenario's sample

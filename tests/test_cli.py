@@ -461,6 +461,25 @@ class TestSchema:
             assert excinfo.value.code == 2
             assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--kp", "--kd", "--ki", "--kc"])
+    def test_sweep_takes_no_gain_flag(self, flag, tmp_path, capsys):
+        # sweep draws its own triples, so a gain flag is refused, not ignored
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--count", "5", flag, "1e-110", "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} 1e-110" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_takes_the_plant_flags_and_mismatch(self, tmp_path):
+        # the plant flags and --mismatch at their defaults give the defaults' CSV
+        flags = ["--m-h", "1.0", "--i-h", "0.021", "--r", "0.18", "--m-a", "3.28",
+                 "--i-a", "0.035", "--l", "0.14", "--beta", "20deg", "--mismatch", "1.5"]
+        plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+        assert main(["sweep", "--count", "600", "--out", str(plain)]) == 0
+        assert main(["sweep", *flags, "--count", "600", "--out", str(flagged)]) == 0
+        assert flagged.read_bytes() == plain.read_bytes()
+
 
 # In a fresh interpreter: import the CLI, run main(argv), and print the
 # heavy modules loaded after the import and after the run, then the exit code.

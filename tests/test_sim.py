@@ -26,13 +26,16 @@ from hooprobot.regularizer import nominal_from_true
 from hooprobot.sim import (
     CSV_CHUNK,
     CSV_HEADER,
+    SETTLING_BAND,
     DivergenceError,
+    RunSummary,
     SimConfig,
     Trajectory,
     closed_loop,
     energy,
     integrate,
     lagrangian_oracle,
+    summarize,
 )
 
 TRUE = PlantParams(m_h=1.0, i_h=0.021, r=0.18, m_a=3.28, i_a=0.035, l=0.14,
@@ -618,7 +621,11 @@ class TestSymbolicStage:
         # as it stands.  On flat ground with belief = truth, its Jacobian in
         # (o, omega, theta_a, omega_a, o_I) at the origin splits into the
         # PID's cubic (the gains act as r k_p and r k_i on o in metres) and
-        # the pendulum hanging from the hoop centre.
+        # the pendulum hanging from the hoop centre.  The characteristic
+        # polynomial is det(lambda I - J) of the cancelled entries by
+        # Berkowitz's division-free expansion, compared through the numerator
+        # of the difference: no step takes a polynomial gcd, so a wrong stage
+        # fails in seconds where sympy's charpoly of the entries would not end.
         sympy = pytest.importorskip("sympy")
         m_h, i_h, r, m_a, i_a, l, grav, k_p, k_d, k_i = sympy.symbols(
             "m_h i_h r m_a i_a l g k_p k_d k_i", positive=True)
@@ -637,10 +644,11 @@ class TestSymbolicStage:
         rates = sympy.Matrix([-r * state[1], scope["omega_dot"], state[3],
                               scope["omega_a_dot"], scope["o_i_rate"]])
         jacobian = rates.jacobian(state).subs({x: 0 for x in state})
-        jacobian = jacobian.applyfunc(lambda e: sympy.nsimplify(e, rational=True))
+        jacobian = jacobian.applyfunc(lambda e: sympy.cancel(sympy.nsimplify(e, rational=True)))
+        charpoly = (lam * sympy.eye(5) - jacobian).det(method="berkowitz")
         expected = ((lam**3 + k_d * lam**2 + r * k_p * lam + r * k_i)
                     * (lam**2 + m_a * grav * l / (i_a + m_a * l**2 - m_a * r * l)))
-        assert sympy.cancel(jacobian.charpoly(lam).as_expr() - expected) == 0
+        assert sympy.expand(sympy.numer(sympy.together(charpoly - expected))) == 0
 
     @pytest.mark.parametrize("feedforward", [False, True])
     def test_controller_text_is_the_double_angle_law_exactly(self, feedforward):
@@ -888,14 +896,12 @@ class TestTrajectoryCsv:
 class TestColumnLayout:
     """Each column is an ``array('d')``, 8 bytes per recorded value."""
 
-    def test_every_column_is_an_array_of_doubles(self, tmp_path):
+    def test_every_column_is_an_array_of_doubles(self):
         cfg = make_config(scenario="sinusoid", feedforward=True, t_end=1.0, stride=7)
         diverging = make_config(t_end=1.0, stride=1, initial=HoopState(0.0, 0.0, 0.0, 0.0, 900.0))
         with pytest.raises(DivergenceError) as excinfo:
             integrate(diverging)
-        runs = {"integrate": integrate(cfg),
-                "integrate_to_csv": streamed(cfg, tmp_path / "streamed"),
-                "DivergenceError": excinfo.value.trajectory}
+        runs = {"integrate": integrate(cfg), "DivergenceError": excinfo.value.trajectory}
         for name, traj in runs.items():
             assert len(traj) > 1, name
             for column in TRAJECTORY_COLUMNS:
@@ -1061,10 +1067,10 @@ class TestIntegrateToCsv:
         cfg = make_config(scenario=scenario, o_ref0=0.4, feedforward=feedforward,
                           hold_dt=hold_dt, stride=stride, t_end=1.8)
         with leaves_no_child_or_fd():
-            traj = streamed(cfg, tmp_path / "streamed")
+            summary = streamed(cfg, tmp_path / "streamed")
         expected = integrate(cfg)
-        for column in TRAJECTORY_COLUMNS:
-            assert bits(getattr(traj, column)) == bits(getattr(expected, column)), column
+        assert type(summary) is RunSummary
+        assert summary == summarize(expected)
         written(expected, tmp_path / "written")
         assert_same_files(tmp_path / "streamed", tmp_path / "written")
 
@@ -1088,9 +1094,12 @@ class TestIntegrateToCsv:
         for failure in (streaming.value, plain.value):
             assert type(failure.__cause__ or failure) is raised
         assert str(streaming.value) == str(plain.value)
+        assert streaming.value.time == plain.value.time
+        assert bits(streaming.value.state) == bits(plain.value.state)
+        # the rows went to the files; the streaming run keeps none of them
+        assert len(plain.value.trajectory) > 0
         for column in TRAJECTORY_COLUMNS:
-            assert bits(getattr(streaming.value.trajectory, column)) == bits(
-                getattr(plain.value.trajectory, column)), column
+            assert len(getattr(streaming.value.trajectory, column)) == 0, column
         written(plain.value.trajectory, tmp_path / "written")
         assert_same_files(tmp_path / "streamed", tmp_path / "written")
 
@@ -1140,3 +1149,95 @@ class TestIntegrateToCsv:
             streamed(cfg, tmp_path / "streamed")
         written(integrate(cfg), tmp_path / "written")
         assert_same_files(tmp_path / "streamed", tmp_path / "written")
+
+    def test_memory_does_not_grow_with_the_run(self, tmp_path):
+        # the rows go to the writer process block by block, and this process
+        # keeps none it has sent, so ten times the rows take no more memory
+        cfg = make_config(scenario="sinusoid", feedforward=True, stride=1, t_end=2.0)
+        streamed(replace(cfg, t_end=0.01), tmp_path / "warm")  # compiles the loop first
+        peaks = []
+        for t_end in (2.0, 20.0):
+            tracemalloc.start()
+            try:
+                summary = streamed(replace(cfg, t_end=t_end), tmp_path / f"run_{t_end}")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert summary.rows == round(t_end / cfg.dt) + 1
+        assert abs(peaks[1] - peaks[0]) < 64 * 1024, peaks
+
+
+def settling_by_definition(t, o_e):
+    """The settling time row by row: the t after the last row outside the
+    band, inf if that is the last row, t[0] if no row is outside."""
+    outside = [i for i, value in enumerate(o_e) if abs(value) >= SETTLING_BAND]
+    if not outside:
+        return t[0]
+    return t[outside[-1] + 1] if outside[-1] + 1 < len(t) else math.inf
+
+
+def summary_columns(o_e, omega_a):
+    """A trajectory of ``o_e`` and ``omega_a`` on the 1 ms grid, other columns empty."""
+    return Trajectory(t=array("d", (i * 1e-3 for i in range(len(o_e)))),
+                      o_e=array("d", o_e), omega_a=array("d", omega_a))
+
+
+def fold(traj, sizes):
+    """``summarize`` folded over consecutive blocks of ``traj``, their
+    lengths taken from ``sizes`` in turn."""
+    summary, start = None, 0
+    for size in itertools.cycle(sizes):
+        if start >= len(traj):
+            return summary
+        block = Trajectory(**{name: getattr(traj, name)[start:start + size]
+                              for name in ("t", "o_e", "omega_a")})
+        summary = summarize(block) if summary is None else summarize(block, summary)
+        start += size
+
+
+# values inside, on and outside the band, of either sign
+O_E_VALUES = (0.0, -0.0, 0.004, -SETTLING_BAND / 2, SETTLING_BAND, -SETTLING_BAND,
+              0.0100000001, -0.3, 2.0)
+# each a column of o_e and the row whose t is its settling time, None for inf
+SUMMARY_CASES = {
+    # a block whose last row is outside: the next block starts the settled tail
+    "block_ends_outside": ([0.0] * (CSV_CHUNK - 1) + [0.5] + [0.0] * CSV_CHUNK, CSV_CHUNK),
+    "run_ends_outside": ([0.0] * CSV_CHUNK + [0.0, -0.02], None),
+    "never_outside": ([0.009, -0.009] * CSV_CHUNK, 0),
+    "re_excursion": ([0.5] * 3 + [0.0] * 300 + [-SETTLING_BAND] + [0.001] * 5, 304),
+}
+
+
+class TestRunSummary:
+    """``summarize`` folded over any split of a run equals it over the whole
+    run, and that equals the row-by-row definition."""
+
+    @pytest.mark.parametrize("size", [1, 2, CSV_CHUNK - 1, CSV_CHUNK])
+    @pytest.mark.parametrize("case", SUMMARY_CASES)
+    def test_fold_equals_the_whole_and_the_definition(self, case, size):
+        o_e, row = SUMMARY_CASES[case]
+        omega_a = [(-1.0) ** i * (i % 97) for i in range(len(o_e))]
+        traj = summary_columns(o_e, omega_a)
+        settling = math.inf if row is None else traj.t[row]
+        whole = summarize(traj)
+        assert fold(traj, [size]) == whole
+        assert whole == RunSummary(len(o_e), abs(o_e[-1]), 96.0, settling)
+        assert settling_by_definition(traj.t, traj.o_e) == settling
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        runs=st.lists(st.tuples(st.sampled_from(O_E_VALUES), st.integers(1, 2 * CSV_CHUNK)),
+                      min_size=1, max_size=6),
+        omega_a=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=9),
+        sizes=st.lists(st.sampled_from([1, 2, 3, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1]),
+                       min_size=1, max_size=4),
+    )
+    def test_any_split_folds_to_the_whole(self, runs, omega_a, sizes):
+        o_e = [value for value, count in runs for _ in range(count)]
+        traj = summary_columns(o_e, [omega_a[i % len(omega_a)] for i in range(len(o_e))])
+        whole = summarize(traj)
+        assert fold(traj, sizes) == whole
+        assert whole.rows == len(o_e)
+        assert whole.terminal_o_e == abs(o_e[-1])
+        assert whole.max_omega_a == max(abs(v) for v in traj.omega_a)
+        assert whole.settling_time == settling_by_definition(traj.t, traj.o_e)
