@@ -527,8 +527,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     _add_config_flags(p_eq, "plant")
     p_eq.set_defaults(func=cmd_equilibrium)
 
-    p_sw = sub.add_parser("sweep", help="seeded sweep of admissible gain triples")
-    # sweep draws its own gains, so of the controller flags it takes --mismatch only
+    p_sw = sub.add_parser("sweep", help="seeded sweep of admissible gain triples", description=(
+        "Draws its own gains; a --config file's [controller] gains are validated, then ignored."))
     _add_config_flags(p_sw, "plant", "controller", skip=("k_p", "k_d", "k_i", "k_c"))
     _add_certificate_flags(p_sw)
     p_sw.add_argument("--count", type=int, default=100)

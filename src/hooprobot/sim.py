@@ -1,4 +1,4 @@
-"""Fixed-step closed-loop simulation, energy bookkeeping, and a dynamics oracle.
+"""Fixed-step closed-loop simulation and energy bookkeeping.
 
 The plant state and the controller's transported integrator form one
 augmented six-dimensional ODE advanced by classical fourth-order
@@ -18,12 +18,11 @@ sample text from ``reference`` and the recorded row; so the loop, compiled
 once per process for each scenario and combination of flags, makes no
 stage, reference or record calls.
 
-The energy and Lagrangian-oracle routines are deliberately built from the
-frame geometry rather than the closed-form reduced equations, so they can
-catch sign and wiring mistakes in the plant module instead of inheriting
-them.  ``integrate`` records the energy with ``energy``'s expressions and
-their constant prefixes read once per run, so ``energy`` is the oracle of
-the recorded column as well.
+The energy is written once, as the recorded row's text: the loop inlines
+it, and ``energy`` is compiled from it for one state.  It is built from the
+frame geometry rather than the closed-form reduced equations, so Lagrange's
+equations of it, which the tests derive exactly, catch sign and wiring
+mistakes in the plant instead of inheriting them.
 
 ``integrate`` and ``Trajectory.write_csv`` run in the calling process.
 ``integrate_to_csv``, which ``hooprobot simulate`` calls, forks one writer
@@ -322,118 +321,6 @@ def _fork_writer(tables: list) -> tuple:
     return send, finish
 
 
-def energy(p: PlantParams, s: HoopState) -> tuple[float, float]:
-    """Kinetic and potential energy from the frame geometry.
-
-    The hoop translates with the center (speed r*omega along the incline) and
-    spins; the actuator mass rides the center plus an arm of length l swinging
-    at omega_a, with the arm hanging toward the contact when theta_a = 0; the
-    actuator body additionally spins at omega_a.  Heights are measured in the
-    gravity frame: the center sits at o*sin(beta) + r*cos(beta) above the
-    incline origin and the actuator mass hangs l*cos(theta_a + beta) below
-    the center.
-    """
-    # actuator COM velocity in incline coordinates (x along slope, y normal)
-    v_x = -p.r * s.omega + p.l * s.omega_a * math.cos(s.theta_a)
-    v_y = p.l * s.omega_a * math.sin(s.theta_a)
-    ke = (
-        0.5 * (p.i_h + p.m_h * p.r**2) * s.omega**2
-        + 0.5 * p.m_a * (v_x**2 + v_y**2)
-        + 0.5 * p.i_a * s.omega_a**2
-    )
-    center_height = s.o * math.sin(p.beta) + p.r * math.cos(p.beta)
-    pe = (
-        p.m_total * p.g * center_height
-        - p.m_a * p.g * p.l * math.cos(s.theta_a + p.beta)
-    )
-    return ke, pe
-
-
-def lagrangian_oracle(
-    p: PlantParams, s: HoopState, tau_u: float
-) -> tuple[float, float]:
-    """Accelerations (omega_dot, omega_a_dot) from numerically assembled
-    Euler-Lagrange equations; independent of the closed-form plant module.
-
-    Generalized coordinates are (theta, theta_a) with the center position
-    eliminated through rolling (do/dtheta = -r).  The mass matrix and force
-    terms come from finite differences of the energy function; the input
-    torque enters as the pair (tau, -tau) on the two coordinates with
-    tau = tau_u * A / (A - m_a r l cos(theta_a)), the inverse of the input
-    allocation used by the reduced model.  The constant disturbance torques
-    are defined directly on the reduced equations, so they are passed through
-    verbatim rather than re-derived.
-    """
-    h_v = 1.0     # exact for the velocity-quadratic kinetic energy
-    h_q = 1e-5
-
-    def ke_at(q1: float, q2: float, w1: float, w2: float) -> float:
-        state = HoopState(
-            theta=q1, o=s.o - p.r * (q1 - s.theta), omega=w1, theta_a=q2, omega_a=w2
-        )
-        return energy(p, state)[0]
-
-    def pe_at(q1: float, q2: float) -> float:
-        state = HoopState(
-            theta=q1, o=s.o - p.r * (q1 - s.theta), omega=0.0, theta_a=q2, omega_a=0.0
-        )
-        return energy(p, state)[1]
-
-    q = (s.theta, s.theta_a)
-    w = (s.omega, s.omega_a)
-
-    def momentum(i: int, q1: float, q2: float, w1: float, w2: float) -> float:
-        vp = [w1, w2]
-        vm = [w1, w2]
-        vp[i] += h_v
-        vm[i] -= h_v
-        return (ke_at(q1, q2, *vp) - ke_at(q1, q2, *vm)) / (2.0 * h_v)
-
-    # mass matrix: velocity gradient of the momenta (exact, KE quadratic)
-    mm = [[0.0, 0.0], [0.0, 0.0]]
-    for i in range(2):
-        for j in range(2):
-            vp = list(w)
-            vm = list(w)
-            vp[j] += h_v
-            vm[j] -= h_v
-            mm[i][j] = (
-                momentum(i, q[0], q[1], *vp) - momentum(i, q[0], q[1], *vm)
-            ) / (2.0 * h_v)
-
-    # configuration gradients of momenta, kinetic and potential energy
-    dp_dq = [[0.0, 0.0], [0.0, 0.0]]
-    dke_dq = [0.0, 0.0]
-    dpe_dq = [0.0, 0.0]
-    for j in range(2):
-        qp = list(q)
-        qm = list(q)
-        qp[j] += h_q
-        qm[j] -= h_q
-        for i in range(2):
-            dp_dq[i][j] = (
-                momentum(i, qp[0], qp[1], *w) - momentum(i, qm[0], qm[1], *w)
-            ) / (2.0 * h_q)
-        dke_dq[j] = (ke_at(qp[0], qp[1], *w) - ke_at(qm[0], qm[1], *w)) / (2.0 * h_q)
-        dpe_dq[j] = (pe_at(qp[0], qp[1]) - pe_at(qm[0], qm[1])) / (2.0 * h_q)
-
-    denom = p.pendulum_inertia - p.coupling_amp * math.cos(s.theta_a)
-    tau = tau_u * p.pendulum_inertia / denom
-    rhs = [
-        tau + dke_dq[0] - dpe_dq[0] - (dp_dq[0][0] * w[0] + dp_dq[0][1] * w[1]),
-        -tau + dke_dq[1] - dpe_dq[1] - (dp_dq[1][0] * w[0] + dp_dq[1][1] * w[1]),
-    ]
-
-    det = mm[0][0] * mm[1][1] - mm[0][1] * mm[1][0]
-    if abs(det) < 1e-12:
-        raise ValueError(f"singular generalized mass matrix, det={det!r}")
-    omega_dot = (rhs[0] * mm[1][1] - rhs[1] * mm[0][1]) / det
-    omega_a_dot = (rhs[1] * mm[0][0] - rhs[0] * mm[1][0]) / det
-
-    inertia = p.inertia(s.theta_a)
-    return omega_dot + p.delta_s / inertia, omega_a_dot + p.delta_a / inertia
-
-
 # The closed-loop stage, held once as source: ``_stage_source`` assembles it
 # for a run's flags, ``closed_loop`` compiles it as a function and ``_run``
 # inlines it at each RK4 stage.  It reads the state o, omega, theta_a,
@@ -447,10 +334,12 @@ def lagrangian_oracle(
 # way (pow(x, 2.0) and x*x differ in the last bit for some x), so the two
 # stay equal bit for bit.
 # ``_CONSTANTS`` reads the true plant p, the belief n and the gains g once
-# per run.
-_CONSTANTS = """\
+# per run; its ``_GEOMETRY`` lines serve ``energy`` as well.
+_GEOMETRY = """\
 sin, cos = math.sin, math.cos
 beta, neg_r, l = p.beta, -p.r, p.l
+"""
+_CONSTANTS = _GEOMETRY + """\
 rolling, dip = p.rolling_inertia, p.inertia_dip
 amp, pend = p.coupling_amp, p.pendulum_inertia
 delta_s, delta_a = p.delta_s, p.delta_a
@@ -677,9 +566,15 @@ def loop(p, n, g, flush, traj, dt, steps, stride, hold_steps,
 _RATES = (("theta", "omega"), ("o", "o_rate"), ("omega", "omega_dot"),
           ("theta_a", "omega_a"), ("omega_a", "omega_a_dot"), ("o_i", "o_i_rate"))
 # The recorded row at t: each ``Trajectory`` column with its value, from the
-# state, the sample, k1's trig and the torques in force.  The energy keeps
-# ``energy``'s expressions, operand order and ``**2``, its constant prefixes
-# read once per run, so ``energy`` is its oracle bit for bit; it is computed
+# state, the sample, k1's trig and the torques in force.  The energy comes
+# from the frame geometry: the hoop translates with the centre, at speed
+# r*omega along the incline, and spins; the actuator mass rides the centre on
+# an arm of length l swinging at omega_a, hanging toward the contact at
+# theta_a = 0, and the actuator body spins at omega_a as well.  v_x and v_y
+# are the mass's velocity along the slope and normal to it.  Heights are in
+# the gravity frame: the centre sits o*sin(beta) + r*cos(beta) above the
+# incline origin, and the mass hangs l*cos(theta_a + beta) below it.  The
+# loop reads the constant prefixes once per run and computes the energy
 # before the first append, so an overflow leaves no part of a row.
 _ROW_CONSTANTS = """\
 half_rolling = 0.5 * (p.i_h + p.m_h * p.r**2)
@@ -698,6 +593,17 @@ _ROW_VALUES = (("t", "t"), ("theta", "theta"), ("o", "o"), ("omega", "omega"),
                ("o_e", "o - o_ref"), ("omega_e", "omega + o_dot_ref / n_r"),
                ("tau_u", "tau_u"), ("tilde_tau_u", "tilde"), ("energy", "ke + pe"),
                ("o_ref", "o_ref"))
+# ``energy`` is the row's energy text run on one state: the geometry lines of
+# ``_CONSTANTS`` and sin(beta), ``_ROW_CONSTANTS``, k1's trig and ``_ROW``.
+_ENERGY = (
+    'def energy(p, s):\n'
+    '    """Kinetic and potential energy (ke, pe) of the plant p at the state s."""\n'
+    + indent(_GEOMETRY + "sin_beta = sin(beta)\n" + _ROW_CONSTANTS
+             + "o, omega, theta_a, omega_a = s.o, s.omega, s.theta_a, s.omega_a\n"
+             + _TRIG + _ROW + "return ke, pe\n", "    ")
+)
+energy: Callable[[PlantParams, HoopState], tuple[float, float]] = define(
+    "energy", _ENERGY, "of one state", globals())
 
 
 def _loop_source(scenario: str, open_loop: bool, feedforward: bool, hold: bool) -> str:

@@ -34,7 +34,9 @@ from hooprobot.regularizer import (
     regularize,
     shaping_torque,
 )
-from hooprobot.sim import SimConfig, integrate, lagrangian_oracle
+from hooprobot.sim import SimConfig, integrate
+
+from euler_lagrange import exact_accelerations
 
 TRUE = PlantParams(m_h=1.0, i_h=0.021, r=0.18, m_a=3.28, i_a=0.035, l=0.14,
                    beta=math.radians(20.0))
@@ -124,7 +126,9 @@ def tracking_metrics(traj, settle_from=25.0):
     }
 
 
-def test_criterion_01_dynamics_match_lagrangian_oracle(capsys):
+def test_criterion_01_dynamics_match_euler_lagrange(capsys):
+    # the oracle is Lagrange's equations of the energy, derived with sympy
+    # and lambdified once per process: on first use, inside the wall time
     rng = np.random.default_rng(42)
     start = time.perf_counter()
     worst = 0.0
@@ -138,12 +142,12 @@ def test_criterion_01_dynamics_match_lagrangian_oracle(capsys):
         )
         tau = float(rng.uniform(-2.0, 2.0))
         rates = derivative(DISTURBED, s, tau)
-        od, oad = lagrangian_oracle(DISTURBED, s, tau)
+        od, oad = exact_accelerations(DISTURBED, s, tau)
         worst = max(worst, abs(rates[2] - od), abs(rates[4] - oad))
     wall = time.perf_counter() - start
     ok = worst < 1e-6 and wall < 10.0
     emit(capsys, 1, ok,
-         f"oracle max |accel diff| = {worst:.3e} (tol 1e-06), {wall:.2f} s wall")
+         f"Euler-Lagrange max |accel diff| = {worst:.3e} (tol 1e-06), {wall:.2f} s wall")
     assert worst < 1e-6
     assert wall < 10.0
 

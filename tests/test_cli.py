@@ -480,16 +480,33 @@ class TestSchema:
         assert main(["sweep", *flags, "--count", "600", "--out", str(flagged)]) == 0
         assert flagged.read_bytes() == plain.read_bytes()
 
+    def test_sweep_validates_then_ignores_the_gains_of_a_config_file(self, tmp_path, capsys):
+        # sweep draws its own triples: a gain of the file is checked as for
+        # check-gains, and a valid one leaves the CSV as it is without the file
+        config, plain, valid, bad = (tmp_path / name for name in (
+            "gains.ini", "plain.csv", "valid.csv", "bad.csv"))
+        assert main(["sweep", "--count", "100", "--out", str(plain)]) == 0
+        config.write_text("[controller]\nk_i = 1e-110\n")
+        assert main(["sweep", "--config", str(config), "--count", "100", "--out", str(valid)]) == 0
+        assert valid.read_bytes() == plain.read_bytes()
+        config.write_text("[controller]\nk_i = -1\n")
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(config), "--count", "100", "--out", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("config error: invalid gains")
+        assert not bad.exists()
+
 
 # In a fresh interpreter: import the CLI, run main(argv), and print the
 # heavy modules loaded after the import and after the run, then the exit code.
 # scipy belongs to `equilibrium`, numpy to the certificate commands and
-# multiprocessing to `sweep --jobs`; each dominates start-up.
+# multiprocessing to `sweep --jobs`; each dominates start-up.  sympy belongs
+# to the tests alone.
 FRESH_MAIN = """\
 import sys
 from hooprobot.cli import main
 def heavy():
-    return [name for name in ("numpy", "scipy", "multiprocessing") if name in sys.modules]
+    return [name for name in ("numpy", "scipy", "multiprocessing", "sympy")
+            if name in sys.modules]
 at_import = heavy()
 code = main(sys.argv[1:])
 print(at_import, heavy(), code)

@@ -18,7 +18,8 @@ from hooprobot.plant import (
     inertia_field,
 )
 from hooprobot.regularizer import NominalParams
-from hooprobot.sim import lagrangian_oracle
+
+from euler_lagrange import exact_accelerations
 
 
 def make_plant(**overrides):
@@ -197,9 +198,9 @@ class TestDerivative:
         with pytest.raises(ValueError, match="torque"):
             derivative(PLANT, s, math.inf)
 
-    def test_matches_lagrangian_oracle(self):
-        # one moderate-velocity state pinned against the independently
-        # assembled Euler-Lagrange equations
+    def test_matches_euler_lagrange_accelerations(self):
+        # one moderate-velocity state pinned against Lagrange's equations,
+        # derived exactly from the energy
         s = HoopState(
             theta=0.25019093320933394,
             o=0.794427601939151,
@@ -208,7 +209,7 @@ class TestDerivative:
             omega_a=-0.5995011452663237,
         )
         rates = derivative(PLANT, s, 0.7)
-        omega_dot, omega_a_dot = lagrangian_oracle(PLANT, s, 0.7)
+        omega_dot, omega_a_dot = exact_accelerations(PLANT, s, 0.7)
         assert abs(rates[2] - omega_dot) < 1e-9
         assert abs(rates[4] - omega_a_dot) < 1e-9
 

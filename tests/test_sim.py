@@ -1,6 +1,5 @@
-"""Integrator behavior: configs, determinism, energy accounting, the oracle."""
+"""Integrator behavior: configs, determinism, energy accounting, the stage texts."""
 import csv
-import functools
 import itertools
 import linecache
 import math
@@ -13,14 +12,14 @@ from array import array
 from dataclasses import replace
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from hooprobot import controller, sim
 from hooprobot.cli import FIGURES, build_sim_config, load_config
 from hooprobot.controller import Gains
-from hooprobot.plant import HoopState, PlantParams, coupling_gain, derivative
+from hooprobot.plant import HoopState, PlantParams, derivative
 from hooprobot.reference import SCENARIOS, ReferenceSample, make_reference, sample_source
 from hooprobot.regularizer import nominal_from_true
 from hooprobot.sim import (
@@ -34,8 +33,14 @@ from hooprobot.sim import (
     closed_loop,
     energy,
     integrate,
-    lagrangian_oracle,
     summarize,
+)
+
+from euler_lagrange import (
+    THETA_A,
+    euler_lagrange_accelerations,
+    exact_accelerations,
+    sympy_math,
 )
 
 TRUE = PlantParams(m_h=1.0, i_h=0.021, r=0.18, m_a=3.28, i_a=0.035, l=0.14,
@@ -134,57 +139,37 @@ class TestEnergy:
         assert pe1 - pe0 == pytest.approx(expected, rel=1e-12)
 
 
-class TestLagrangianOracle:
-    def test_matches_closed_form_on_random_states(self):
-        rng = np.random.default_rng(42)
-        disturbed = PlantParams(m_h=1.0, i_h=0.021, r=0.18, m_a=3.28, i_a=0.035,
-                                l=0.14, beta=math.radians(20.0),
-                                delta_s=0.1, delta_a=0.05)
+class TestEulerLagrange:
+    def test_input_routing_sensitivities(self):
+        # d(omega_dot)/d(tau_u) = 1/I and d(omega_a_dot)/d(tau_u) = B/I
+        # exactly, with B = (A_c / A) cos theta_a - I / (A - A_c cos theta_a)
+        # as in ``plant.coupling_gain`` (A the pendulum inertia, A_c the
+        # coupling amplitude).  sin theta_a reaches these derivatives only as
+        # the sin^2 of the mass matrix, which becomes 1 - cos^2 for ``cancel``
+        accelerations, p, _, (_, _, tau_u) = euler_lagrange_accelerations()
+        sin, cos = sympy.sin(THETA_A), sympy.cos(THETA_A)
+        inertia = p.rolling_inertia - p.inertia_dip * cos**2
+        gain = (p.coupling_amp / p.pendulum_inertia * cos
+                - inertia / (p.pendulum_inertia - p.coupling_amp * cos))
+        for acceleration, routed in zip(accelerations, (1 / inertia, gain / inertia)):
+            difference = sympy.diff(acceleration, tau_u) - routed
+            assert sympy.cancel(difference.subs(sin**2, 1 - cos**2)) == 0
+
+    @pytest.mark.parametrize("plant", [TRUE, FLAT], ids=["incline", "flat"])
+    def test_matches_closed_form_on_random_states(self, plant):
+        # criterion 01 checks the disturbed plant; here the undisturbed one,
+        # on and off the incline, against the exact accelerations
+        rng = random.Random(42)
         worst = 0.0
         for _ in range(100):
-            s = HoopState(
-                theta=float(rng.uniform(-math.pi, math.pi)),
-                o=float(rng.uniform(-3, 3)),
-                omega=float(rng.uniform(-5, 5)),
-                theta_a=float(rng.uniform(-math.pi, math.pi)),
-                omega_a=float(rng.uniform(-5, 5)),
-            )
-            tau = float(rng.uniform(-2, 2))
-            rates = derivative(disturbed, s, tau)
-            od, oad = lagrangian_oracle(disturbed, s, tau)
+            s = HoopState(theta=rng.uniform(-math.pi, math.pi), o=rng.uniform(-3, 3),
+                          omega=rng.uniform(-5, 5), theta_a=rng.uniform(-math.pi, math.pi),
+                          omega_a=rng.uniform(-5, 5))
+            tau = rng.uniform(-2, 2)
+            rates = derivative(plant, s, tau)
+            od, oad = exact_accelerations(plant, s, tau)
             worst = max(worst, abs(rates[2] - od), abs(rates[4] - oad))
-        assert worst < 1e-6
-
-    def test_input_routing_sensitivities(self):
-        # d(omega_dot)/d(tau_u) = 1/I and d(omega_a_dot)/d(tau_u) = B/I,
-        # probed through the oracle alone
-        s = HoopState(theta=0.2, o=-0.5, omega=0.6, theta_a=0.9, omega_a=-0.8)
-        lo = lagrangian_oracle(TRUE, s, -0.5)
-        hi = lagrangian_oracle(TRUE, s, 0.5)
-        inertia = TRUE.inertia(s.theta_a)
-        spin_sens = (hi[0] - lo[0]) / 1.0
-        act_sens = (hi[1] - lo[1]) / 1.0
-        assert spin_sens == pytest.approx(1.0 / inertia, rel=1e-6)
-        assert act_sens == pytest.approx(
-            coupling_gain(TRUE, s.theta_a) / inertia, rel=1e-6
-        )
-
-    def test_singular_mass_matrix_raises(self):
-        # fake parameter object tuned so the generalized mass matrix
-        # determinant pend * (J - K cos^2) collapses at theta_a = 0: a nearly
-        # massless hoop whose rolling inertia equals the coupling dip
-        m_a, r, l = 2.0, 0.2, 0.1
-        amp = m_a * r * l                 # 0.04
-        pend = amp**2 / (m_a * r**2)      # dip = amp^2/pend = J = m_a r^2
-        fake = SimpleNamespace(
-            m_h=1e-12, i_h=1e-12, r=r, m_a=m_a, i_a=pend - m_a * l**2, l=l,
-            beta=0.0, g=9.81, delta_s=0.0, delta_a=0.0,
-            m_total=m_a + 1e-12, pendulum_inertia=pend, coupling_amp=amp,
-            inertia=lambda q: 1e-13,
-        )
-        s = HoopState(0.0, 0.0, 0.1, 0.0, 0.1)
-        with pytest.raises(ValueError, match="mass matrix"):
-            lagrangian_oracle(fake, s, 0.0)
+        assert worst < 1e-9
 
 
 # (theta, o, omega, theta_a, omega_a, o_I) at t = 60 s of the default run
@@ -626,7 +611,6 @@ class TestSymbolicStage:
         # Berkowitz's division-free expansion, compared through the numerator
         # of the difference: no step takes a polynomial gcd, so a wrong stage
         # fails in seconds where sympy's charpoly of the entries would not end.
-        sympy = pytest.importorskip("sympy")
         m_h, i_h, r, m_a, i_a, l, grav, k_p, k_d, k_i = sympy.symbols(
             "m_h i_h r m_a i_a l g k_p k_d k_i", positive=True)
         lam = sympy.Symbol("lambda")
@@ -637,7 +621,7 @@ class TestSymbolicStage:
             rolling_inertia=i_h + (m_h + m_a) * r**2,
         )
         state = sympy.symbols("o omega theta_a omega_a o_i")
-        scope = dict(math=SimpleNamespace(sin=sympy.sin, cos=sympy.cos), p=params, n=params,
+        scope = dict(math=sympy_math(), p=params, n=params,
                      g=SimpleNamespace(k_p=k_p, k_d=k_d, k_i=k_i),
                      o_ref=0, o_dot_ref=0, o_ddot_ref=0, **{str(x): x for x in state})
         exec(sim._CONSTANTS + sim._stage_source(False, False, "fresh"), scope)
@@ -657,8 +641,7 @@ class TestSymbolicStage:
         # (h/2) sin 2 theta_a: with every parameter a free symbol, its
         # integrator rate and torques are the law's written with sin 2
         # theta_a, exactly, so the rewrite changed rounding only.
-        sympy = pytest.importorskip("sympy")
-        scope = symbolic_stage_scope(sympy)
+        scope = symbolic_stage_scope()
         exec(sim._CONSTANTS + sim._stage_source(False, feedforward, "fresh"), scope)
         n, g = scope["n"], scope["g"]
         sin, cos = sympy.sin, sympy.cos
@@ -701,7 +684,7 @@ class TestSymbolicStage:
 STAGE_INPUTS = ("o", "omega", "theta_a", "omega_a", "o_i", "o_ref", "o_dot_ref", "o_ddot_ref")
 
 
-def symbolic_stage_scope(sympy):
+def symbolic_stage_scope():
     """An ``exec`` scope for the stage text in which the true plant p, the
     belief n and the gains g hold independent symbols for every field the
     text reads, and the state and sample are symbols."""
@@ -714,52 +697,8 @@ def symbolic_stage_scope(sympy):
     p = fields("", masses)
     p.beta, p.delta_s, p.delta_a = sympy.symbols("beta delta_s delta_a", real=True)
     n, g = fields("n_", masses), fields("", ("k_p", "k_d", "k_i"))
-    return dict(math=SimpleNamespace(sin=sympy.sin, cos=sympy.cos), p=p, n=n, g=g,
+    return dict(math=sympy_math(), p=p, n=n, g=g,
                 **{name: sympy.Symbol(name, real=True) for name in STAGE_INPUTS})
-
-
-@functools.cache
-def euler_lagrange_accelerations():
-    """The plant's (omega_dot, omega_a_dot) from Lagrange's equations for
-    ``energy``, as sympy expressions in the symbols of the parameters, the
-    velocities w1, w2, tau_u and sin and cos of theta_a and beta; with the
-    parameter namespace and those symbols.
-
-    The coordinates are (theta, theta_a), the centre at o = -r theta + c.
-    M w' = Q + dL/dq - (dp/dq) w, with p = dL/dw and M = d2L/dw2, and
-    Q = (tau, -tau), tau = tau_u A / (A - m_a r l cos theta_a); the
-    disturbances add delta / I to the accelerations, as in ``plant``.
-    """
-    sympy = pytest.importorskip("sympy")
-    m_h, i_h, r, m_a, i_a, l, grav = sympy.symbols("m_h i_h r m_a i_a l g", positive=True)
-    beta, delta_s, delta_a, tau_u, c = sympy.symbols("beta delta_s delta_a tau_u c", real=True)
-    q1, q2, w1, w2 = sympy.symbols("q1 q2 w1 w2", real=True)
-    pend, amp = i_a + m_a * l**2, m_a * r * l
-    p = SimpleNamespace(
-        m_h=m_h, i_h=i_h, r=r, m_a=m_a, i_a=i_a, l=l, g=grav, beta=beta, delta_s=delta_s,
-        delta_a=delta_a, m_total=m_h + m_a, pendulum_inertia=pend, coupling_amp=amp,
-        inertia_dip=amp**2 / pend, rolling_inertia=i_h + (m_h + m_a) * r**2,
-    )
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim, "math", SimpleNamespace(sin=sympy.sin, cos=sympy.cos))
-        ke, pe = energy(p, HoopState(theta=q1, o=-r * q1 + c, omega=w1, theta_a=q2, omega_a=w2))
-    lagrangian = sympy.nsimplify(ke - pe, rational=True)  # its 0.5 as 1/2
-    q, w = (q1, q2), (w1, w2)
-    momenta = [sympy.diff(lagrangian, v) for v in w]
-    mass = sympy.Matrix(2, 2, lambda i, j: sympy.diff(momenta[i], w[j]))
-    tau = tau_u * pend / (pend - amp * sympy.cos(q2))
-    forces = sympy.Matrix([
-        force + sympy.diff(lagrangian, q[i]) - sum(sympy.diff(momenta[i], q[j]) * w[j]
-                                                   for j in range(2))
-        for i, force in enumerate((tau, -tau))
-    ])
-    inertia = p.rolling_inertia - p.inertia_dip * sympy.cos(q2)**2
-    accelerations = mass.LUsolve(forces) + sympy.Matrix([delta_s, delta_a]) / inertia
-    # sin and cos of theta_a + beta become those of theta_a and beta; the
-    # angle symbols then appear only inside sin and cos
-    accelerations = [sympy.expand_trig(a).subs(q2, sympy.Symbol("theta_a", real=True))
-                     for a in accelerations]
-    return accelerations, p, (m_h, i_h, r, m_a, i_a, l, grav, c, delta_s, delta_a), (w1, w2, tau_u)
 
 
 def euler_lagrange_residuals(plant_text, points):
@@ -768,11 +707,9 @@ def euler_lagrange_residuals(plant_text, points):
     points, each difference exact: theta_a and beta enter through the
     half-angle substitution sin = 2u/(1 + u^2), cos = (1 - u^2)/(1 + u^2)
     at rational u, so every value is a rational number."""
-    sympy = pytest.importorskip("sympy")
     accelerations, p, params, (w1, w2, tau_u) = euler_lagrange_accelerations()
-    theta_a = sympy.Symbol("theta_a", real=True)
-    scope = dict(math=SimpleNamespace(sin=sympy.sin, cos=sympy.cos), p=p, n=p,
-                 g=SimpleNamespace(k_p=1, k_d=1, k_i=1), theta_a=theta_a, omega_a=w2, tau_u=tau_u)
+    scope = dict(math=sympy_math(), p=p, n=p,
+                 g=SimpleNamespace(k_p=1, k_d=1, k_i=1), theta_a=THETA_A, omega_a=w2, tau_u=tau_u)
     exec(sim._CONSTANTS + sim._TRIG + plant_text, scope)
     text = [sympy.expand_trig(sympy.nsimplify(scope[name], rational=True))
             for name in ("omega_dot", "omega_a_dot")]
@@ -787,7 +724,7 @@ def euler_lagrange_residuals(plant_text, points):
                                    draw(1, 10) / 10, radius * draw(10, 95) / 100, draw(0, 1000),
                                    draw(-300, 300), draw(-30, 30), draw(-30, 30))))
         values.update({w1: draw(-300, 300), w2: draw(-300, 300), tau_u: draw(-500, 500)})
-        for angle, u in ((theta_a, draw(-300, 300)), (p.beta, draw(-60, 60))):
+        for angle, u in ((THETA_A, draw(-300, 300)), (p.beta, draw(-60, 60))):
             values[sympy.sin(angle)] = 2 * u / (1 + u**2)
             values[sympy.cos(angle)] = (1 - u**2) / (1 + u**2)
         residual = tuple(sympy.cancel(a.xreplace(values) - b.xreplace(values))
